@@ -20,26 +20,56 @@ import (
 // ErrNoMeasure reports a backend constructed without a measurement.
 var ErrNoMeasure = errors.New("engine: backend has no Measure func")
 
-// attach wires an observer pipeline into a simulator's kernel tap. The
-// empty pipeline is not attached, so observer-less replicas keep the
-// nil-tap fast path.
-func attach(set *obs.Set, tappable interface{ SetTap(kernel.Tap) }) *obs.Set {
-	if set == nil || set.Empty() {
-		return nil
+// runReplica is the one replica body every simulator adapter shares:
+// build the simulator on the replica's stream, build its observer pipeline
+// (when observe is non-nil; tapped attaches it to the kernel tap), run
+// measure, and seal the record from the sample and the observer snapshot.
+// Each adapter's RunReplica supplies only its own construction.
+func runReplica[S interface{ Now() float64 }](
+	ctx context.Context, rep int,
+	build func() (S, error),
+	observe func(rep int, sw S) *obs.Set,
+	measure func(ctx context.Context, rep int, sw S) (Sample, error),
+) (Record, error) {
+	if measure == nil {
+		return Record{}, ErrNoMeasure
 	}
-	tappable.SetTap(set)
-	return set
-}
-
-// sealRecord composes the replica record from the backend sample and the
-// sealed observer snapshot.
-func sealRecord(sample Sample, set *obs.Set, now float64) Record {
+	sw, err := build()
+	if err != nil {
+		return Record{}, err
+	}
+	var set *obs.Set
+	if observe != nil {
+		set = observe(rep, sw)
+	}
+	sample, err := measure(ctx, rep, sw)
+	if err != nil {
+		return Record{}, err
+	}
 	rec := Record{Values: sample}
 	if set != nil {
-		set.Seal(now)
+		set.Seal(sw.Now())
 		rec.merge(set.Snapshot())
 	}
-	return rec
+	return rec, nil
+}
+
+// tapped wraps an adapter's Observe hook so the pipeline it builds is
+// attached to the simulator's kernel tap. The empty pipeline is not
+// attached (the wrapper returns nil), so observer-less replicas keep the
+// nil-tap fast path.
+func tapped[S interface{ SetTap(kernel.Tap) }](observe func(rep int, sw S) *obs.Set) func(rep int, sw S) *obs.Set {
+	if observe == nil {
+		return nil
+	}
+	return func(rep int, sw S) *obs.Set {
+		set := observe(rep, sw)
+		if set == nil || set.Empty() {
+			return nil
+		}
+		sw.SetTap(set)
+		return set
+	}
 }
 
 // SwarmBackend drives the type-count simulator (internal/sim): each replica
@@ -69,27 +99,13 @@ func (b *SwarmBackend) Name() string { return orDefault(b.Label, "sim") }
 
 // RunReplica implements Backend.
 func (b *SwarmBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]sim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, sim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, sim.WithRNG(r))
-	sw, err := sim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runReplica(ctx, rep, func() (*sim.Swarm, error) {
+		opts := append([]sim.Option{}, b.Options...)
+		if b.Scenario.Active() {
+			opts = append(opts, sim.WithScenario(b.Scenario))
+		}
+		return sim.New(b.Params, append(opts, sim.WithRNG(r))...)
+	}, tapped(b.Observe), b.Measure)
 }
 
 // HybridBackend drives the adaptive multi-regime simulator
@@ -118,20 +134,10 @@ func (b *HybridBackend) Name() string { return orDefault(b.Label, "hybrid") }
 
 // RunReplica implements Backend.
 func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]hybrid.Option{}, b.Options...)
-	opts = append(opts, hybrid.WithConfig(b.Config), hybrid.WithRNG(r))
-	h, err := hybrid.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	sample, err := b.Measure(ctx, rep, h)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, nil, h.Now()), nil
+	return runReplica(ctx, rep, func() (*hybrid.Swarm, error) {
+		opts := append([]hybrid.Option{}, b.Options...)
+		return hybrid.New(b.Params, append(opts, hybrid.WithConfig(b.Config), hybrid.WithRNG(r))...)
+	}, nil, b.Measure)
 }
 
 // RecoveryBackend drives the fast-recovery variant of the type-count
@@ -154,27 +160,13 @@ func (b *RecoveryBackend) Name() string { return orDefault(b.Label, "recovery") 
 
 // RunReplica implements Backend.
 func (b *RecoveryBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]sim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, sim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, sim.WithRNG(r))
-	sw, err := sim.NewRecovery(b.Params, b.Eta, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runReplica(ctx, rep, func() (*sim.RecoverySwarm, error) {
+		opts := append([]sim.Option{}, b.Options...)
+		if b.Scenario.Active() {
+			opts = append(opts, sim.WithScenario(b.Scenario))
+		}
+		return sim.NewRecovery(b.Params, b.Eta, append(opts, sim.WithRNG(r))...)
+	}, tapped(b.Observe), b.Measure)
 }
 
 // CodedBackend drives the network-coding simulator (internal/codedsim).
@@ -193,23 +185,9 @@ func (b *CodedBackend) Name() string { return orDefault(b.Label, "codedsim") }
 
 // RunReplica implements Backend.
 func (b *CodedBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append(append([]codedsim.Option{}, b.Options...), codedsim.WithRNG(r))
-	sw, err := codedsim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runReplica(ctx, rep, func() (*codedsim.Swarm, error) {
+		return codedsim.New(b.Params, append(append([]codedsim.Option{}, b.Options...), codedsim.WithRNG(r))...)
+	}, tapped(b.Observe), b.Measure)
 }
 
 // PeerBackend drives the peer-granular simulator (internal/peersim), whose
@@ -233,27 +211,13 @@ func (b *PeerBackend) Name() string { return orDefault(b.Label, "peersim") }
 
 // RunReplica implements Backend.
 func (b *PeerBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]peersim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, peersim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, peersim.WithRNG(r))
-	sw, err := peersim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runReplica(ctx, rep, func() (*peersim.Swarm, error) {
+		opts := append([]peersim.Option{}, b.Options...)
+		if b.Scenario.Active() {
+			opts = append(opts, peersim.WithScenario(b.Scenario))
+		}
+		return peersim.New(b.Params, append(opts, peersim.WithRNG(r))...)
+	}, tapped(b.Observe), b.Measure)
 }
 
 // BorderlineBackend drives the µ=∞ embedded chain (internal/borderline).
@@ -273,22 +237,9 @@ func (b *BorderlineBackend) Name() string { return orDefault(b.Label, "borderlin
 
 // RunReplica implements Backend.
 func (b *BorderlineBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	c, err := borderline.NewFromRNG(b.K, b.Lambda, r)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, c), c)
-	}
-	sample, err := b.Measure(ctx, rep, c)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, c.Now()), nil
+	return runReplica(ctx, rep, func() (*borderline.Chain, error) {
+		return borderline.NewFromRNG(b.K, b.Lambda, r)
+	}, tapped(b.Observe), b.Measure)
 }
 
 func orDefault(label, def string) string {

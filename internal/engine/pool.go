@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/rng"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // runPool fans the replicas across the job's worker pool and returns the
@@ -19,14 +16,14 @@ import (
 // the one reported may vary with scheduling (successful runs stay
 // bit-for-bit deterministic — only the error path is schedule-dependent).
 //
-// When telemetry is enabled the pool records replica lifecycle counts, a
-// per-replica busy-time histogram, queue-wait times, and per-worker
-// busy/idle counters; when tracing is enabled it additionally records
-// queue-wait and busy spans per replica, a lifecycle span per worker, and
-// anomaly marks for replica errors and p99 stragglers (trace.go).
-// Instrumentation reads the clock a handful of times per replica and never
-// touches records, streams, or sinks, so it cannot perturb the
-// deterministic outputs.
+// Every worker runs the same body over an index iterator. A one-worker pool
+// calls it inline over the replica indices, with no goroutines or channels;
+// a larger pool runs it on one goroutine per worker, fed over a channel.
+// The serial iterator stops after a failed replica, the parallel feeder
+// once the pool context is cancelled, so a failing job launches no further
+// replicas. Instrumentation goes through
+// the job's probe (instrument.go), which never touches records, streams, or
+// sinks, so it cannot perturb the deterministic outputs.
 func runPool(ctx context.Context, job Job, streams []*rng.RNG) ([]Record, error) {
 	n := len(streams)
 	workers := job.Workers
@@ -39,175 +36,84 @@ func runPool(ctx context.Context, job Job, streams []*rng.RNG) ([]Record, error)
 
 	records := make([]Record, n)
 	errs := make([]error, n)
-	met := newPoolMetrics()
-	trc := newPoolTrace(n, workers > 1, met)
+	pr := newProbe(ctx, n, workers)
 
-	runOne := func(ctx context.Context, i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
+	var (
+		progress sync.Mutex
+		done     int
+		cancel   context.CancelFunc // cancels a parallel pool's context
+	)
+	// work is the one worker body: worker w runs the replicas next hands
+	// out under ctx.
+	work := func(ctx context.Context, w int, next func() (int, bool)) {
+		wk := pr.worker(w)
+		ctx = wk.mark(ctx)
+		for i, ok := next(); ok; i, ok = next() {
+			t0 := wk.start(i)
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+			} else if rec, err := job.Backend.RunReplica(ctx, i, streams[i]); err != nil {
+				errs[i] = fmt.Errorf("engine: job %q replica %d: %w", job.Name, i, err)
+			} else {
+				records[i] = rec
+			}
+			wk.end(i, t0, errs[i])
+			if errs[i] != nil {
+				// Stop handing out work: the serial iterator sees the
+				// error; a parallel pool is cancelled, and its running
+				// replicas observe that through their context.
+				if cancel != nil {
+					cancel()
+				}
+				continue
+			}
+			if job.Progress != nil {
+				progress.Lock()
+				done++
+				job.Progress(done, n)
+				progress.Unlock()
+			}
 		}
-		rec, err := job.Backend.RunReplica(ctx, i, streams[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: job %q replica %d: %w", job.Name, i, err)
-			return
-		}
-		records[i] = rec
+		wk.finish()
 	}
 
 	if workers == 1 {
-		// Serial fast path: no goroutines, no channels, same code path for
-		// each replica so results match the parallel schedule exactly.
-		var busy telemetry.Count
-		if met != nil {
-			busy, _ = met.workerCounts(0) // the serial worker never idles
+		i := 0
+		work(ctx, 0, func() (int, bool) {
+			if i == n || (i > 0 && errs[i-1] != nil) {
+				return 0, false
+			}
+			i++
+			return i - 1, true
+		})
+	} else {
+		var poolCtx context.Context
+		poolCtx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		indices := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				work(poolCtx, w, func() (int, bool) {
+					i, ok := <-indices
+					return i, ok
+				})
+			}(w)
 		}
-		var tb *trace.Buf
-		if trc != nil {
-			tb = trc.worker(0)
-		}
+	feed:
 		for i := range streams {
-			var ts0 int64
-			if tb != nil {
-				ts0 = tb.Now()
-			}
-			var d time.Duration
-			if met == nil {
-				runOne(ctx, i)
-			} else {
-				met.started.Inc()
-				t0 := time.Now()
-				runOne(ctx, i)
-				d = time.Since(t0)
-				busy.Add(uint64(d.Nanoseconds()))
-				met.replicaDone(d, 0, errs[i])
-			}
-			if tb != nil {
-				tb.Span("replica", "engine", ts0, int64(i))
-				if errs[i] != nil {
-					tb.Anomaly("replica.error", int64(i))
-				} else if met != nil {
-					trc.straggler(tb, d, i)
-				}
-			}
-			if errs[i] != nil {
-				return nil, firstError(ctx, errs)
-			}
-			if job.Progress != nil {
-				job.Progress(i+1, n)
+			pr.send(i)
+			select {
+			case indices <- i:
+			case <-poolCtx.Done():
+				break feed
 			}
 		}
-		return records, nil
+		close(indices)
+		wg.Wait()
 	}
-
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		progress sync.Mutex
-		done     int
-	)
-	// sentAt records when the feeder handed each index out, so workers can
-	// report queue wait. Allocated (and the clock read) only when telemetry
-	// is on; the write happens before the channel send and the read after
-	// the receive, so the slice needs no lock.
-	var sentAt []time.Time
-	if met != nil {
-		sentAt = make([]time.Time, n)
-	}
-	indices := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var (
-				busyCt, idleCt telemetry.Count
-				loopStart      time.Time
-				busyTotal      time.Duration
-			)
-			if met != nil {
-				busyCt, idleCt = met.workerCounts(w)
-				loopStart = time.Now()
-			}
-			var (
-				tb      *trace.Buf
-				loop0   int64
-				handled int64
-			)
-			if trc != nil {
-				tb = trc.worker(w)
-				loop0 = tb.Now()
-			}
-			for i := range indices {
-				var ts0 int64
-				if tb != nil {
-					ts0 = tb.Now()
-					if s := trc.sent[i]; ts0 > s {
-						tb.Span("replica.wait", "engine", s, int64(i))
-					}
-				}
-				var t0 time.Time
-				if met != nil {
-					t0 = time.Now()
-					met.started.Inc()
-				}
-				runOne(poolCtx, i)
-				var d time.Duration
-				if met != nil {
-					d = time.Since(t0)
-					busyTotal += d
-					busyCt.Add(uint64(d.Nanoseconds()))
-					met.replicaDone(d, t0.Sub(sentAt[i]), errs[i])
-				}
-				if tb != nil {
-					tb.Span("replica", "engine", ts0, int64(i))
-					handled++
-					if errs[i] != nil {
-						tb.Anomaly("replica.error", int64(i))
-					} else if met != nil {
-						trc.straggler(tb, d, i)
-					}
-				}
-				if errs[i] != nil {
-					// Stop handing out work; already-running replicas
-					// observe the cancellation through their context.
-					cancel()
-					continue
-				}
-				if job.Progress != nil {
-					progress.Lock()
-					done++
-					job.Progress(done, n)
-					progress.Unlock()
-				}
-			}
-			if tb != nil {
-				tb.Span("worker.loop", "engine", loop0, handled)
-			}
-			if met != nil {
-				if idleT := time.Since(loopStart) - busyTotal; idleT > 0 {
-					idleCt.Add(uint64(idleT.Nanoseconds()))
-				}
-			}
-		}(w)
-	}
-feed:
-	for i := range streams {
-		if sentAt != nil {
-			sentAt[i] = time.Now()
-		}
-		if trc != nil {
-			trc.sent[i] = trc.tr.Now()
-		}
-		select {
-		case indices <- i:
-		case <-poolCtx.Done():
-			break feed
-		}
-	}
-	close(indices)
-	wg.Wait()
 
 	if err := firstError(ctx, errs); err != nil {
 		return nil, err

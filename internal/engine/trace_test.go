@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -50,6 +51,7 @@ func traceNames(t *testing.T, workers int, job Job) (map[string]int, *Result) {
 // the deterministic aggregate matches an untraced run exactly.
 func TestPoolTraceSpans(t *testing.T) {
 	defer trace.SetDefault(nil)
+	defer telemetry.SetDefault(nil)
 	const replicas = 24
 	job := Job{
 		Name: "traced",
@@ -64,23 +66,32 @@ func TestPoolTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		job.Workers = workers
-		names, res := traceNames(t, workers, job)
-		if names["replica"] != replicas {
-			t.Errorf("workers=%d: replica spans = %d, want %d", workers, names["replica"], replicas)
-		}
-		if names["job:traced"] != 1 || names["job.aggregate"] != 1 {
-			t.Errorf("workers=%d: job/aggregate spans = %d/%d, want 1/1",
-				workers, names["job:traced"], names["job.aggregate"])
-		}
-		if workers > 1 && names["worker.loop"] != workers {
-			t.Errorf("workers=%d: worker.loop spans = %d", workers, names["worker.loop"])
-		}
-		for _, k := range base.Keys() {
-			if res.Mean(k) != base.Mean(k) {
-				t.Errorf("workers=%d: traced mean %s = %v, untraced %v",
-					workers, k, res.Mean(k), base.Mean(k))
+		for _, metered := range []bool{false, true} { // metered: telemetry and tracing both on
+			var reg *telemetry.Registry
+			if metered {
+				reg = telemetry.New()
 			}
+			telemetry.SetDefault(reg)
+			job.Workers = workers
+			names, res := traceNames(t, workers, job)
+			if names["replica"] != replicas {
+				t.Errorf("workers=%d: replica spans = %d, want %d", workers, names["replica"], replicas)
+			}
+			if names["job:traced"] != 1 || names["job.aggregate"] != 1 {
+				t.Errorf("workers=%d: job/aggregate spans = %d/%d, want 1/1",
+					workers, names["job:traced"], names["job.aggregate"])
+			}
+			if names["worker.loop"] != workers {
+				t.Errorf("workers=%d: worker.loop spans = %d", workers, names["worker.loop"])
+			}
+			for _, k := range base.Keys() {
+				if res.Mean(k) != base.Mean(k) {
+					t.Errorf("workers=%d: traced mean %s = %v, untraced %v",
+						workers, k, res.Mean(k), base.Mean(k))
+				}
+			}
+
+			telemetry.SetDefault(nil)
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // ErrNoProgress reports a zero total event rate: the chain has no enabled
@@ -81,30 +80,23 @@ type Kernel struct {
 	tap    Tap
 	halter Halter
 
-	// met holds the telemetry counter handles (zero = disabled, every use
-	// a nil-check no-op); metFlushed is the event count already pushed to
-	// the registry — see metrics.go for the batching contract.
-	met        metrics
-	metFlushed uint64
-
-	// trc is the execution-trace ring (nil = tracing disabled); trcMark is
-	// the event count already covered by an emitted batch span and trcT0
-	// the batch's start on the trace clock — see trace.go.
-	trc     *trace.Buf
-	trcMark uint64
-	trcT0   int64
+	// ins holds the instrumentation handles; due is the event count at
+	// which the next batch flush falls (math.MaxUint64 when instrumentation
+	// is off) and mark where the last flushed batch ended — see
+	// instrument.go.
+	ins  instr
+	due  uint64
+	mark batchMark
 }
 
 // New builds a kernel driving proc from the given stream and records the
-// initial occupancy observation at time zero. When a telemetry registry is
-// installed (telemetry.SetDefault), the kernel binds its event/halt/
-// no-progress counters here; binding consumes no randomness and never
-// changes which realization a seed produces.
+// initial occupancy observation at time zero. When a telemetry registry or
+// a tracer is installed, the kernel binds its instrumentation here; binding
+// consumes no randomness and never changes which realization a seed
+// produces.
 func New(r *rng.RNG, proc Process) *Kernel {
-	k := &Kernel{r: r, proc: proc, met: grabMetrics(), trc: grabTraceBuf()}
-	if k.trc.Live() {
-		k.trcT0 = k.trc.Now()
-	}
+	k := &Kernel{r: r, proc: proc}
+	k.bindInstr()
 	k.occ.Observe(0, proc.Population())
 	return k
 }
@@ -160,18 +152,15 @@ func (k *Kernel) Step() error {
 		total += r
 	}
 	if total <= 0 {
-		k.met.noProgress.Inc()
+		k.ins.noProgress.Inc()
 		k.FlushMetrics()
-		k.trc.Anomaly("kernel.no-progress", int64(k.events))
+		k.ins.trc.Anomaly("kernel.no-progress", int64(k.events))
 		return ErrNoProgress
 	}
 	k.now += k.r.Exp(total)
 	k.events++
-	if k.met.events.Live() && k.events-k.metFlushed >= eventBatch {
+	if k.events >= k.due {
 		k.FlushMetrics()
-	}
-	if k.trc != nil && k.events-k.trcMark >= eventBatch {
-		k.flushTrace()
 	}
 
 	u := k.r.Float64() * total
@@ -196,9 +185,9 @@ func (k *Kernel) Step() error {
 	if k.tap != nil {
 		k.tap.OnEvent(k.now, class, pop)
 		if k.halter != nil && k.halter.Halted() {
-			k.met.halts.Inc()
+			k.ins.halts.Inc()
 			k.FlushMetrics()
-			k.trc.Anomaly("kernel.halted", int64(k.events))
+			k.ins.trc.Anomaly("kernel.halted", int64(k.events))
 			return ErrHalted
 		}
 	}

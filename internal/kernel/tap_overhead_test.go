@@ -7,10 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
-// stepBaseline is a verbatim copy of Kernel.Step without the tap branch —
-// the seed event loop. TestTapOffOverhead measures Step (tap field present
-// but nil) against it to pin the observer-off cost of the tap refactor.
-// Keep this in sync with Step when the event loop changes.
+// stepBaseline is the uninstrumented seed event loop, not a copy of
+// Kernel.Step: it lacks the tap branch, the instrumentation watermark
+// compare, and the counter, flush and trace mark on the no-progress path.
+// TestTapOffOverhead measures Step with no tap, registry or tracer against
+// it, so the gate pins the combined off-path cost of both hooks. Keep its
+// simulation logic (rates, holding time, class race, fire, occupancy) in
+// step with Step's.
 func (k *Kernel) stepBaseline() error {
 	k.rates = k.proc.Rates(k.rates[:0])
 	var total float64

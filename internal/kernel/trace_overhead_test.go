@@ -12,7 +12,7 @@ import (
 
 // TestTraceOnOverhead enforces the tracing acceptance bound: with a tracer
 // installed, Kernel.Step — whose per-event cost is one watermark compare
-// plus a mutexed ring write every eventBatch events (see trace.go) — must
+// plus a mutexed ring write every eventBatch events (see instrument.go) — must
 // stay within 2% of the tracing-disabled loop. Methodology mirrors
 // TestTelemetryOnOverhead: interleaved rounds, compare minima, small
 // absolute slack for timer granularity. Skipped in -short mode and under
@@ -54,9 +54,9 @@ func TestTraceOnOverhead(t *testing.T) {
 	// Confirm the traced rounds actually recorded batch spans — guards
 	// against the gate silently measuring a disabled path.
 	onKernel.FlushMetrics()
-	if onKernel.trc == nil || onKernel.trcMark != onKernel.events {
+	if onKernel.ins.trc == nil || onKernel.mark.events != onKernel.events {
 		t.Fatalf("traced kernel did not flush batch spans (mark %d of %d events)",
-			onKernel.trcMark, onKernel.events)
+			onKernel.mark.events, onKernel.events)
 	}
 
 	limit := minOff + minOff/50 + 2*time.Millisecond
@@ -86,12 +86,12 @@ func TestKernelTraceBatches(t *testing.T) {
 			}
 		}
 		k.FlushMetrics()
-		if k.trcMark != uint64(steps) {
-			t.Errorf("steps=%d: trace covered %d events", steps, k.trcMark)
+		if k.mark.events != uint64(steps) {
+			t.Errorf("steps=%d: trace covered %d events", steps, k.mark.events)
 		}
 		k.FlushMetrics() // idempotent: no empty batch span
-		if k.trcMark != uint64(steps) {
-			t.Errorf("steps=%d: double flush moved the mark to %d", steps, k.trcMark)
+		if k.mark.events != uint64(steps) {
+			t.Errorf("steps=%d: double flush moved the mark to %d", steps, k.mark.events)
 		}
 	}
 
