@@ -43,17 +43,17 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		quick    = fs.Bool("quick", false, "reduced horizons and replica counts")
-		ids      = fs.String("id", "", "comma-separated experiment ids (default: all)")
-		seed     = fs.Uint64("seed", 1, "base RNG seed")
+		quick     = fs.Bool("quick", false, "reduced horizons and replica counts")
+		ids       = fs.String("id", "", "comma-separated experiment ids (default: all)")
+		seed      = fs.Uint64("seed", 1, "base RNG seed")
 		parallel  = fs.Int("parallel", engine.DefaultWorkers(), "engine worker pool size (1 = serial)")
-		jsonl     = fs.String("jsonl", "", "write per-replica engine records to this JSONL file")
-		storeF    = fs.String("store", "", "write per-replica engine records to this columnar result store (query with cmd/results)")
 		flashPeak = fs.Float64("flash-peak", 0, "E15: flash-crowd peak arrival multiplier (0 = default)")
 		churn     = fs.Float64("churn", 0, "E15: per-downloader abandonment rate δ (0 = default)")
 		verbose   = fs.Bool("v", false, "print a throttled replica-progress heartbeat to stderr")
+		records   cli.Records
 		tel       cli.Telemetry
 	)
+	records.RegisterFlags(fs)
 	tel.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,32 +92,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	// Open the sinks only after the id list validates, so a typo'd -id does
 	// not truncate an existing results file.
-	var sinks []engine.Sink
-	if *jsonl != "" {
-		f, err := os.Create(*jsonl)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sinks = append(sinks, engine.NewJSONLSink(f))
+	sink, err := records.Open()
+	if err != nil {
+		return err
 	}
-	var storeSink *engine.StoreSink
-	if *storeF != "" {
-		ss, err := engine.CreateStoreSink(*storeF)
-		if err != nil {
-			return err
-		}
-		storeSink = ss
-		defer storeSink.Close() // error-path cleanup; the success path checks Close below
-		sinks = append(sinks, ss)
-	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		cfg.Sink = sinks[0]
-	default:
-		cfg.Sink = engine.Tee(sinks...)
-	}
+	defer records.Close() // error-path cleanup; the success path checks Close below
+	cfg.Sink = sink
 	for _, e := range selected {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -131,12 +111,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprint(out, table.Render())
 		fmt.Fprintf(out, "elapsed: %s\n\n", time.Since(start).Round(time.Millisecond))
 	}
-	// A store flush failure (full disk) must fail the run, not silently
-	// truncate the file the CI diffs depend on.
-	if storeSink != nil {
-		if err := storeSink.Close(); err != nil {
-			return err
-		}
+	if err := records.Close(); err != nil {
+		return err
 	}
 	return tel.Finish()
 }

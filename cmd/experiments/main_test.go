@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestRunSelectedQuick(t *testing.T) {
@@ -28,6 +31,28 @@ func TestRunUnknownID(t *testing.T) {
 	var b strings.Builder
 	if err := run(context.Background(), []string{"-id", "E99"}, &b); err == nil {
 		t.Error("unknown experiment id accepted")
+	}
+}
+
+// TestRunUnknownIDKeepsRecords pins the open-after-validate ordering: a
+// mistyped -id must fail before -jsonl truncates an existing results file.
+func TestRunUnknownIDKeepsRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "existing.jsonl")
+	want := []byte(`{"kind":"replica","job":"earlier run"}` + "\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err := run(context.Background(), []string{"-id", "BOGUS", "-jsonl", path}, &b)
+	if !errors.Is(err, exp.ErrUnknownExperiment) {
+		t.Fatalf("err = %v, want the unknown-id error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("existing results file changed: %q, want %q", got, want)
 	}
 }
 

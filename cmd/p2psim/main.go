@@ -55,12 +55,9 @@ var quantileTargets = []float64{0.1, 0.5, 0.9}
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("p2psim", flag.ContinueOnError)
+	mod := cli.DefaultModel()
+	mod.K = 2
 	var (
-		k         = fs.Int("k", 2, "number of pieces K")
-		us        = fs.Float64("us", 1, "fixed seed upload rate U_s")
-		mu        = fs.Float64("mu", 1, "peer contact rate µ")
-		gammaStr  = fs.String("gamma", "2", "peer-seed departure rate γ (or 'inf')")
-		lambda0   = fs.Float64("lambda0", 1, "empty-type arrival rate (used when no -arrive flags)")
 		horizon   = fs.Float64("horizon", 200, "simulated time horizon")
 		cap       = fs.Int("cap", 100000, "stop a replica when its population reaches this size")
 		seed      = fs.Uint64("seed", 1, "base RNG seed (replicas run on streams split from it)")
@@ -70,23 +67,18 @@ func run(args []string, out io.Writer) error {
 		parallel  = fs.Int("parallel", engine.DefaultWorkers(), "engine worker pool size (1 = serial; output is identical either way)")
 		traj      = fs.Bool("traj", true, "attach trajectory observers and print the decimated trajectory table")
 		quantiles = fs.Bool("quantiles", false, "stream P² population quantiles and print them")
-		jsonl     = fs.String("jsonl", "", "write per-replica structured records (series, marks, scalars) to this JSONL file")
-		storeF    = fs.String("store", "", "write per-replica structured records to this columnar result store (query with cmd/results)")
 		csvOut    = fs.Bool("csv", false, "emit the trace as CSV instead of a table")
 		verbose   = fs.Bool("v", false, "print a throttled replica-progress heartbeat to stderr")
-		arrivals  cli.ArrivalFlags
+		records   cli.Records
 		tel       cli.Telemetry
 	)
-	fs.Var(&arrivals, "arrive", "arrival spec PIECES=RATE (repeatable)")
+	mod.RegisterFlags(fs)
+	records.RegisterFlags(fs)
 	tel.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	gamma, err := cli.ParseGamma(*gammaStr)
-	if err != nil {
-		return err
-	}
-	p, err := cli.BuildParams(*k, *us, *mu, gamma, *lambda0, &arrivals)
+	p, err := mod.Params()
 	if err != nil {
 		return err
 	}
@@ -161,46 +153,12 @@ func run(args []string, out io.Writer) error {
 		job.Progress = hb.Observe
 		defer hb.Finish()
 	}
-	var (
-		sinkFile  *os.File
-		storeSink *engine.StoreSink
-		sinks     []engine.Sink
-	)
-	if *jsonl != "" {
-		f, err := os.Create(*jsonl)
-		if err != nil {
-			return err
-		}
-		sinkFile = f
-		sinks = append(sinks, engine.NewJSONLSink(f))
-	}
-	if *storeF != "" {
-		ss, err := engine.CreateStoreSink(*storeF)
-		if err != nil {
-			return err
-		}
-		storeSink = ss
-		sinks = append(sinks, ss)
-	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		job.Sink = sinks[0]
-	default:
-		job.Sink = engine.Tee(sinks...)
+	if job.Sink, err = records.Open(); err != nil {
+		return err
 	}
 	res, err := engine.Run(nil, job)
-	// Close explicitly: a flush failure (full disk) must fail the run,
-	// not silently truncate the record file the CI diffs depend on.
-	if sinkFile != nil {
-		if cerr := sinkFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if storeSink != nil {
-		if cerr := storeSink.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := records.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return err

@@ -3,9 +3,10 @@
 // and a refinement depth, and the sweep evaluates the base grid, then
 // bisects only the cells straddling the stability boundary — typically
 // >5× fewer evaluations than a dense grid at the same resolution. Cells
-// are memoized by a canonical parameter hash; with -cache FILE the memo
-// table spills to JSONL and an interrupted sweep resumes where it left
-// off. Output is byte-identical for any -parallel value at a fixed seed.
+// are memoized by a canonical parameter hash; with -store FILE the memo
+// table spills to a columnar cell store and an interrupted sweep resumes
+// where it left off, even from a torn file. Output is byte-identical for
+// any -parallel value at a fixed seed.
 //
 // Examples:
 //
@@ -14,8 +15,7 @@
 //	phasemap -x flash-peak -xrange 1,9 -y churn -yrange 0,1.6 \
 //	    -eval sim -lambda0 3                  # scenario diagram (needs -eval sim)
 //	phasemap -format csv -o map.csv           # machine-readable raster
-//	phasemap -cache cells.jsonl -v            # spill cells, live progress
-//	phasemap -store cells.store -v            # columnar spill; resumes even a torn file
+//	phasemap -store cells.store -v            # spill cells, live progress; resumes even a torn file
 //	phasemap -eval sim -metrics-addr :9090 -report run.json  # live /metrics
 //	         # (cache hit rate, events/sec) + end-of-run telemetry report
 package main
@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 
 	"repro/internal/cli"
@@ -45,21 +44,6 @@ func main() {
 	}
 }
 
-// parseRange parses "MIN,MAX".
-func parseRange(s string) (lo, hi float64, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad range %q (want MIN,MAX)", s)
-	}
-	if lo, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	if hi, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
-		return 0, 0, fmt.Errorf("bad range %q: %v", s, err)
-	}
-	return lo, hi, nil
-}
-
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("phasemap", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -74,12 +58,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		dense  = fs.Bool("dense", false, "evaluate every fine cell (baseline; no adaptive savings)")
 		eval   = fs.String("eval", "theory", `cell evaluator: "theory" (Theorem 1), "sim" (Monte-Carlo), or "hybrid" (adaptive multi-regime Monte-Carlo)`)
 
-		k       = fs.Int("k", 1, "number of pieces K")
-		us      = fs.Float64("us", 1, "seed upload rate U_s")
-		mu      = fs.Float64("mu", 1, "peer contact rate µ")
-		gammaS  = fs.String("gamma", "2", `peer-seed departure rate γ (number or "inf")`)
-		lambda0 = fs.Float64("lambda0", 1, "empty-type arrival rate λ0 (ignored if -arrive given)")
-		arrive  = &cli.ArrivalFlags{}
+		mod = cli.DefaultModel()
 
 		horizon  = fs.Float64("horizon", 300, "sim evaluator: simulated time per replica")
 		peerCap  = fs.Int("peer-cap", 400, "sim evaluator: growth cap per replica")
@@ -92,12 +71,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		parallel = fs.Int("parallel", engine.DefaultWorkers(), "engine worker pool size (1 = serial)")
 		format   = fs.String("format", "ascii", `output format: "ascii", "csv", or "jsonl"`)
 		outFile  = fs.String("o", "", "write the map to this file instead of stdout")
-		cacheF   = fs.String("cache", "", "JSONL cell cache: resume from it and spill new cells to it")
 		storeF   = fs.String("store", "", "columnar cell cache (.store): resume from it — even a torn one — and spill new cells to it")
 		verbose  = fs.Bool("v", false, "report per-round refined-cell progress on stderr (throttled heartbeat)")
 		tel      cli.Telemetry
 	)
-	fs.Var(arrive, "arrive", "arrival spec PIECES=RATE (repeatable), e.g. -arrive 1,2=0.5")
+	mod.RegisterFlags(fs)
 	tel.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,11 +88,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	defer tel.Close()
 
-	gamma, err := cli.ParseGamma(*gammaS)
-	if err != nil {
-		return err
-	}
-	base, err := cli.BuildParams(*k, *us, *mu, gamma, *lambda0, arrive)
+	base, err := mod.Params()
 	if err != nil {
 		return err
 	}
@@ -134,11 +108,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	xMin, xMax, err := parseRange(*xRange)
+	xMin, xMax, err := cli.ParseRange(*xRange)
 	if err != nil {
 		return err
 	}
-	yMin, yMax, err := parseRange(*yRange)
+	yMin, yMax, err := cli.ParseRange(*yRange)
 	if err != nil {
 		return err
 	}
@@ -187,23 +161,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return fmt.Errorf("unknown -eval %q (want theory, sim, or hybrid)", *eval)
 	}
 
-	if *cacheF != "" && *storeF != "" {
-		return fmt.Errorf("-cache and -store are mutually exclusive (one spill target per run)")
-	}
 	runner := &sweep.Runner{Evaluator: evaluator, Workers: *parallel}
-	var journal *os.File
-	if *cacheF != "" {
-		cache, f, loaded, err := openCache(*cacheF)
-		if err != nil {
-			return err
-		}
-		journal = f
-		defer journal.Close() // error-path cleanup; the success path checks Close below
-		runner.Cache = cache
-		if *verbose && loaded > 0 {
-			fmt.Fprintf(errw, "phasemap: resumed %d cells from %s\n", loaded, *cacheF)
-		}
-	}
 	var cellStore *sweep.CellStore
 	if *storeF != "" {
 		cache := sweep.NewCache()
@@ -257,14 +215,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return err
 	}
 	// A write error surfacing only at close (full disk, network FS) must
-	// not exit 0 with a truncated map or a lost journal tail.
+	// not exit 0 with a truncated map or a lost cell-store footer.
 	if outF != nil {
 		if err := outF.Close(); err != nil {
-			return err
-		}
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
 			return err
 		}
 	}
@@ -274,25 +227,4 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}
 	}
 	return tel.Finish()
-}
-
-// openCache opens (or creates) the spill file, replays any entries already
-// in it, and attaches it for appending.
-func openCache(path string) (*sweep.Cache, *os.File, int, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	cache := sweep.NewCache()
-	loaded, err := cache.LoadJournal(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, 0, err
-	}
-	cache.AttachJournal(f)
-	return cache, f, loaded, nil
 }

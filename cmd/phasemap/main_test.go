@@ -63,8 +63,8 @@ func TestParallelByteIdentical(t *testing.T) {
 }
 
 func TestCacheResume(t *testing.T) {
-	cacheFile := filepath.Join(t.TempDir(), "cells.jsonl")
-	args := []string{"-xcells", "4", "-ycells", "3", "-depth", "2", "-cache", cacheFile, "-format", "ascii"}
+	cacheFile := filepath.Join(t.TempDir(), "cells.store")
+	args := []string{"-xcells", "4", "-ycells", "3", "-depth", "2", "-store", cacheFile, "-format", "ascii"}
 	first := render(t, args...)
 	second := render(t, args...)
 	// The resumed run answers everything from the spill: same raster, zero
@@ -91,6 +91,12 @@ func TestBadFlags(t *testing.T) {
 		{"-eval", "psychic"},
 		{"-format", "png"},
 		{"-xrange", "1"},
+		// Non-finite ranges must fail in grid validation, before any cell
+		// is evaluated, not render a raster labelled [+Inf, +Inf].
+		{"-xrange", "nan,5"},
+		{"-x", "mu-over-gamma", "-xrange", "0,inf", "-xcells", "1"},
+		// -store is the one cell spill path; there is no -cache flag.
+		{"-cache", "cells.jsonl"},
 		{"-xcells", "0"},
 		// Scenario axes/flags are invisible to the theory evaluator and
 		// must be rejected rather than render a misleading uniform map.

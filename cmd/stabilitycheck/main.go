@@ -31,16 +31,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stabilitycheck", flag.ContinueOnError)
 	var (
-		k        = fs.Int("k", 1, "number of pieces K")
-		us       = fs.Float64("us", 1, "fixed seed upload rate U_s")
-		mu       = fs.Float64("mu", 1, "peer contact rate µ")
-		gammaStr = fs.String("gamma", "2", "peer-seed departure rate γ (or 'inf')")
-		lambda0  = fs.Float64("lambda0", 1, "empty-type arrival rate (used when no -arrive flags)")
+		mod      = cli.DefaultModel()
 		critical = fs.Bool("critical", false, "also locate the stability boundary (critical arrival scale and critical γ)")
-		arrivals cli.ArrivalFlags
 		tel      cli.Telemetry
 	)
-	fs.Var(&arrivals, "arrive", "arrival spec PIECES=RATE (repeatable), e.g. 1,2=0.5 or empty=1")
+	mod.RegisterFlags(fs)
 	tel.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -49,11 +44,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer tel.Close()
-	gamma, err := cli.ParseGamma(*gammaStr)
-	if err != nil {
-		return err
-	}
-	p, err := cli.BuildParams(*k, *us, *mu, gamma, *lambda0, &arrivals)
+	p, err := mod.Params()
 	if err != nil {
 		return err
 	}

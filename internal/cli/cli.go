@@ -1,9 +1,13 @@
-// Package cli holds flag-parsing helpers shared by the cmd binaries:
-// parsing piece-set arrival specs like "1,2=0.5" and the γ = ∞ spelling.
+// Package cli holds the flag bundles shared by the cmd binaries, each
+// declared once with a RegisterFlags method — Model (-k -us -mu -gamma
+// -lambda0 -arrive → model.Params), Records (-jsonl -store → one
+// engine.Sink) and Telemetry (-metrics-addr -report -trace -flight) — and
+// the spec parsers, whose every failure wraps ErrBadSpec.
 package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"sort"
@@ -69,18 +73,81 @@ func ParsePieces(s string) (pieceset.Set, error) {
 	return set, nil
 }
 
-// ArrivalFlags accumulates repeated -arrive flags into a λ map.
-type ArrivalFlags struct {
-	Lambda map[pieceset.Set]float64
+// ParseRange parses an axis range "MIN,MAX". Whether the bounds are
+// finite and ordered is the sweep grid's check, not the parser's.
+func ParseRange(s string) (lo, hi float64, err error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 2 {
+		return 0, 0, fmt.Errorf("%w: range %q (want MIN,MAX)", ErrBadSpec, s)
+	}
+	if lo, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
+		return 0, 0, fmt.Errorf("%w: range %q: %v", ErrBadSpec, s, err)
+	}
+	if hi, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
+		return 0, 0, fmt.Errorf("%w: range %q: %v", ErrBadSpec, s, err)
+	}
+	return lo, hi, nil
 }
 
+// Model bundles the parameter-point flags -k -us -mu -gamma -lambda0 and
+// the repeatable -arrive. The field values at RegisterFlags time become
+// the flag defaults, so a binary presets the struct (DefaultModel, then
+// its own overrides) before registering.
+type Model struct {
+	K       int
+	Us      float64
+	Mu      float64
+	Gamma   string // parsed by Params (ParseGamma)
+	Lambda0 float64
+
+	arrivals arrivalFlags
+}
+
+// DefaultModel returns the shared defaults: K=1, U_s=1, µ=1, γ=2 and
+// empty-type arrivals at λ0=1.
+func DefaultModel() Model {
+	return Model{K: 1, Us: 1, Mu: 1, Gamma: "2", Lambda0: 1}
+}
+
+// RegisterFlags installs the model flags on fs.
+func (m *Model) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&m.K, "k", m.K, "number of pieces K")
+	fs.Float64Var(&m.Us, "us", m.Us, "fixed seed upload rate U_s")
+	fs.Float64Var(&m.Mu, "mu", m.Mu, "peer contact rate µ")
+	fs.StringVar(&m.Gamma, "gamma", m.Gamma, `peer-seed departure rate γ (number or "inf")`)
+	fs.Float64Var(&m.Lambda0, "lambda0", m.Lambda0, "empty-type arrival rate λ0 (used when no -arrive flags)")
+	fs.Var(&m.arrivals, "arrive", "arrival spec PIECES=RATE (repeatable), e.g. -arrive 1,2=0.5 or -arrive empty=1")
+}
+
+// Params assembles the validated model parameters from the parsed flags,
+// applying the default of empty-type arrivals at rate λ0 when no -arrive
+// flag was given.
+func (m *Model) Params() (model.Params, error) {
+	gamma, err := ParseGamma(m.Gamma)
+	if err != nil {
+		return model.Params{}, err
+	}
+	lambda := map[pieceset.Set]float64(m.arrivals)
+	if len(lambda) == 0 {
+		lambda = map[pieceset.Set]float64{pieceset.Empty: m.Lambda0}
+	}
+	p := model.Params{K: m.K, Us: m.Us, Mu: m.Mu, Gamma: gamma, Lambda: lambda}
+	if err := p.Validate(); err != nil {
+		return model.Params{}, err
+	}
+	return p, nil
+}
+
+// arrivalFlags accumulates repeated -arrive flags into a λ map.
+type arrivalFlags map[pieceset.Set]float64
+
 // String implements flag.Value.
-func (a *ArrivalFlags) String() string {
-	if a == nil || len(a.Lambda) == 0 {
+func (a *arrivalFlags) String() string {
+	if a == nil || len(*a) == 0 {
 		return ""
 	}
 	var parts []string
-	for c, l := range a.Lambda {
+	for c, l := range *a {
 		parts = append(parts, fmt.Sprintf("%v=%g", c, l))
 	}
 	sort.Strings(parts)
@@ -88,29 +155,14 @@ func (a *ArrivalFlags) String() string {
 }
 
 // Set implements flag.Value.
-func (a *ArrivalFlags) Set(spec string) error {
+func (a *arrivalFlags) Set(spec string) error {
 	c, rate, err := ParseArrival(spec)
 	if err != nil {
 		return err
 	}
-	if a.Lambda == nil {
-		a.Lambda = make(map[pieceset.Set]float64)
+	if *a == nil {
+		*a = make(arrivalFlags)
 	}
-	a.Lambda[c] += rate
+	(*a)[c] += rate
 	return nil
-}
-
-// BuildParams assembles model parameters from parsed flag values, applying
-// the default of empty-type arrivals at rate lambda0 when no -arrive flags
-// were given.
-func BuildParams(k int, us, mu, gamma, lambda0 float64, arrivals *ArrivalFlags) (model.Params, error) {
-	lambda := arrivals.Lambda
-	if len(lambda) == 0 {
-		lambda = map[pieceset.Set]float64{pieceset.Empty: lambda0}
-	}
-	p := model.Params{K: k, Us: us, Mu: mu, Gamma: gamma, Lambda: lambda}
-	if err := p.Validate(); err != nil {
-		return model.Params{}, err
-	}
-	return p, nil
 }

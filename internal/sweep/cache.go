@@ -1,13 +1,10 @@
 package sweep
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,22 +87,14 @@ func keyFor(e Evaluator, pt Point) (key string, seed uint64) {
 	return hex.EncodeToString(sum[:16]), binary.BigEndian.Uint64(sum[:8])
 }
 
-// journalRecord is one spilled cache entry.
-type journalRecord struct {
-	Key   string `json:"key"`
-	Point string `json:"point,omitempty"`
-	Cell  Cell   `json:"cell"`
-}
-
 // Cache memoizes evaluated cells by canonical key. The zero value is not
 // usable; construct with NewCache. A Cache is safe for concurrent reads
 // and writes, though the Runner only writes between batches.
 type Cache struct {
 	mu    sync.Mutex
 	cells map[string]Cell
-	// spill, when non-nil, durably records each Put: the JSONL journal
-	// (AttachJournal) or the columnar cell store (CellStore.Attach).
-	spill func(key, point string, cell Cell) error
+	// spill, when non-nil, durably records each Put (OpenCellStore).
+	spill *CellStore
 }
 
 // NewCache returns an empty in-memory cache.
@@ -128,9 +117,9 @@ func (c *Cache) Get(key string) (Cell, bool) {
 	return cell, ok
 }
 
-// Put memoizes a cell and spills it when a journal or cell store is
-// attached. point is the canonical point string recorded for
-// debuggability (and as the store's secondary key).
+// Put memoizes a cell and spills it when a cell store is attached. point
+// is the canonical point string recorded for debuggability (and as the
+// store's secondary key).
 func (c *Cache) Put(key, point string, cell Cell) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,44 +127,5 @@ func (c *Cache) Put(key, point string, cell Cell) error {
 	if c.spill == nil {
 		return nil
 	}
-	return c.spill(key, point, cell)
-}
-
-// AttachJournal makes every subsequent Put append one JSON line to w, the
-// spill stream an interrupted sweep resumes from via LoadJournal.
-func (c *Cache) AttachJournal(w io.Writer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spill = func(key, point string, cell Cell) error {
-		b, err := json.Marshal(journalRecord{Key: key, Point: point, Cell: cell})
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(b, '\n'))
-		return err
-	}
-}
-
-// LoadJournal replays a spill stream into the cache and returns how many
-// entries it loaded. Unparsable lines are skipped — an interrupted sweep
-// may leave a truncated final line, which must not poison the resume.
-func (c *Cache) LoadJournal(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	loaded := 0
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Key == "" {
-			continue
-		}
-		c.cells[rec.Key] = rec.Cell
-		loaded++
-	}
-	return loaded, sc.Err()
+	return c.spill.put(key, point, cell)
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/kernel"
@@ -26,7 +27,9 @@ func (s AxisSpec) validate() error {
 	if s.Cells <= 0 {
 		return fmt.Errorf("%w: axis %q has %d cells", ErrEmptyGrid, s.Axis.Name, s.Cells)
 	}
-	if s.Max < s.Min || (s.Max == s.Min && s.Cells > 1) {
+	// NaN fails every comparison, so non-finite bounds are tested first.
+	if math.IsNaN(s.Min) || math.IsNaN(s.Max) || math.IsInf(s.Min, 0) || math.IsInf(s.Max, 0) ||
+		s.Max < s.Min || (s.Max == s.Min && s.Cells > 1) {
 		return fmt.Errorf("%w: axis %q range [%g, %g] with %d cells", ErrEmptyGrid, s.Axis.Name, s.Min, s.Max, s.Cells)
 	}
 	return nil

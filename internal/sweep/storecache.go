@@ -19,8 +19,7 @@ const CellStoreApp = "p2p-cells/1"
 //	field="val"   one named outcome: name, v (key/point/class repeated)
 //
 // Rows are appended in Put order (the Runner commits in batch order), so
-// the store bytes are deterministic across worker counts, exactly like
-// the JSONL journal.
+// the store bytes are deterministic across worker counts.
 const (
 	cellFieldHeader = "cell"
 	cellFieldValue  = "val"
@@ -42,11 +41,11 @@ func CellStoreSchema() store.Schema {
 	}
 }
 
-// CellStore is the columnar spill/resume backend for a sweep Cache — the
-// at-scale replacement for the JSONL journal. Every Put commits one store
-// block (the durability granularity), so a killed sweep loses at most the
-// cell being written; OpenCellStore salvages every committed cell from a
-// torn file and the next Close makes the file clean again.
+// CellStore is the columnar spill/resume backend for a sweep Cache. Every
+// Put commits one store block (the durability granularity), so a killed
+// sweep loses at most the cell being written; OpenCellStore salvages every
+// committed cell from a torn file and the next Close makes the file clean
+// again.
 type CellStore struct {
 	w   *store.Writer
 	row []store.Value
@@ -54,9 +53,8 @@ type CellStore struct {
 
 // OpenCellStore opens (or creates) the cell store at path, replays every
 // recovered cell into cache, attaches the store as the cache's spill
-// target, and returns how many cells were loaded. Mirrors the JSONL
-// openCache flow: torn tails are dropped silently, matching
-// LoadJournal's skip-unparsable-lines semantics.
+// target, and returns how many cells were loaded. A torn tail is dropped
+// silently: its cells are simply evaluated again.
 func OpenCellStore(path string, cache *Cache) (*CellStore, int, error) {
 	w, r, err := store.OpenAppend(path, CellStoreSchema(), store.WriterOptions{})
 	if err != nil {
@@ -76,15 +74,10 @@ func OpenCellStore(path string, cache *Cache) (*CellStore, int, error) {
 		}
 	}
 	cs := &CellStore{w: w, row: make([]store.Value, 6)}
-	cs.Attach(cache)
-	return cs, loaded, nil
-}
-
-// Attach makes every subsequent Put on cache spill into the store.
-func (s *CellStore) Attach(cache *Cache) {
 	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	cache.spill = s.put
+	cache.spill = cs
+	cache.mu.Unlock()
+	return cs, loaded, nil
 }
 
 // put appends one cell (header row plus sorted Values rows) and commits
@@ -167,13 +160,20 @@ func loadCells(r *store.Reader, fn func(key, point string, cell Cell) error) (in
 	return n, flush()
 }
 
-// StoreCellsToJSONL streams a cell store back out as the byte-identical
-// JSONL journal the same Puts would have appended — the export path
-// cmd/results uses, and the equivalence the journal-vs-store tests pin.
+// cellLine is one exported cell: a JSON line of StoreCellsToJSONL.
+type cellLine struct {
+	Key   string `json:"key"`
+	Point string `json:"point,omitempty"`
+	Cell  Cell   `json:"cell"`
+}
+
+// StoreCellsToJSONL streams a cell store back out as JSON lines, one
+// {key, point, cell} object per cell in Put order — the export path
+// cmd/results uses.
 func StoreCellsToJSONL(w io.Writer, r *store.Reader) error {
 	enc := json.NewEncoder(w)
 	_, err := loadCells(r, func(key, point string, cell Cell) error {
-		return enc.Encode(journalRecord{Key: key, Point: point, Cell: cell})
+		return enc.Encode(cellLine{Key: key, Point: point, Cell: cell})
 	})
 	return err
 }

@@ -10,20 +10,6 @@ import (
 	"repro/internal/store"
 )
 
-// runWithJournal sweeps g into a journal-backed cache and returns the
-// map, the journal bytes, and the number of cells evaluated.
-func runWithJournal(t *testing.T, g Grid) (*Map, []byte, int) {
-	t.Helper()
-	var spill bytes.Buffer
-	cache := NewCache()
-	cache.AttachJournal(&spill)
-	m, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, spill.Bytes(), m.Stats.Evaluated
-}
-
 // runWithStore sweeps g into a cell-store-backed cache at path and
 // returns the map (the store file is left footer-clean).
 func runWithStore(t *testing.T, g Grid, path string) *Map {
@@ -46,19 +32,24 @@ func runWithStore(t *testing.T, g Grid, path string) *Map {
 	return m
 }
 
-// TestCellStoreExportMatchesJournal pins the spill-equivalence contract:
-// the same sweep spilled through the columnar cell store exports (via
-// StoreCellsToJSONL) the byte-identical JSONL stream AttachJournal would
-// have written.
+// goldenExport is the JSONL cell stream the retired JSONL journal wrote
+// for example1Grid(2) under the Theory evaluator. The store export must
+// keep rendering exactly these bytes.
+const goldenExport = "testdata/example1_depth2_cells.jsonl"
+
+// TestCellStoreExportMatchesJournal pins the export contract: a sweep
+// spilled through the columnar cell store exports (via StoreCellsToJSONL)
+// the byte-identical JSONL stream the retired journal wrote for the same
+// sweep, checked in as a golden file.
 func TestCellStoreExportMatchesJournal(t *testing.T) {
-	g := example1Grid(2)
-	_, journal, evaluated := runWithJournal(t, g)
-	if evaluated == 0 {
+	journal, err := os.ReadFile(goldenExport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cells.store")
+	if m := runWithStore(t, example1Grid(2), path); m.Stats.Evaluated == 0 {
 		t.Fatal("sweep evaluated no cells")
 	}
-
-	path := filepath.Join(t.TempDir(), "cells.store")
-	runWithStore(t, g, path)
 
 	r, err := store.Open(path)
 	if err != nil {
@@ -73,13 +64,12 @@ func TestCellStoreExportMatchesJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back.Bytes(), journal) {
-		t.Fatalf("store export differs from journal\nstore:\n%s\njournal:\n%s", back.Bytes(), journal)
+		t.Fatalf("store export differs from %s\nstore:\n%s\ngolden:\n%s", goldenExport, back.Bytes(), journal)
 	}
 }
 
 // TestCellStoreResume: reopening a clean cell store replays every cell,
-// and the resumed sweep evaluates nothing yet reproduces the map — the
-// store-side twin of TestCacheJournalResume.
+// and the resumed sweep evaluates nothing yet reproduces the map.
 func TestCellStoreResume(t *testing.T) {
 	g := example1Grid(2)
 	path := filepath.Join(t.TempDir(), "cells.store")
@@ -109,32 +99,35 @@ func TestCellStoreResume(t *testing.T) {
 // TestCellStoreTornResume is the crash-recovery satellite at the sweep
 // layer: a sweep resumed from a torn cell store (killed mid-write, file
 // truncated at an arbitrary byte) must produce exactly the map a resume
-// from the intact JSONL journal produces, re-evaluating only the cells
-// whose blocks were lost. Afterwards the store file is clean again.
+// from the intact store produces, re-evaluating only the cells whose
+// blocks were lost. Afterwards the store file is clean again.
 func TestCellStoreTornResume(t *testing.T) {
 	g := example1Grid(1)
-	intactMap, journal, evaluated := runWithJournal(t, g)
-
 	dir := t.TempDir()
 	full := filepath.Join(dir, "cells.store")
-	runWithStore(t, g, full)
+	intactMap := runWithStore(t, g, full)
+	evaluated := intactMap.Stats.Evaluated
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The journal-resume baseline: the map every torn-store resume must
+	// The intact-resume baseline: the map every torn-store resume must
 	// reproduce.
-	jcache := NewCache()
-	if _, err := jcache.LoadJournal(bytes.NewReader(journal)); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: jcache})
+	icache := NewCache()
+	ics, _, err := OpenCellStore(full, icache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rastersEqual(intactMap, baseline) {
-		t.Fatal("journal resume baseline differs from the original map")
+	baseline, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: icache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ics.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if baseline.Stats.Evaluated != 0 || !rastersEqual(intactMap, baseline) {
+		t.Fatal("intact-store resume baseline differs from the original map")
 	}
 
 	// Tear the file at offsets spanning header-only through nearly-whole,
@@ -164,7 +157,7 @@ func TestCellStoreTornResume(t *testing.T) {
 			t.Errorf("cut at %d: re-evaluated %d cells, want %d", k, m.Stats.Evaluated, evaluated-loaded)
 		}
 		if !rastersEqual(m, baseline) {
-			t.Fatalf("cut at %d: torn-store resume map differs from journal resume", k)
+			t.Fatalf("cut at %d: torn-store resume map differs from intact-store resume", k)
 		}
 		if err := cs.Close(); err != nil {
 			t.Fatalf("cut at %d: close: %v", k, err)
@@ -193,9 +186,8 @@ func TestCellStoreTornResume(t *testing.T) {
 	}
 }
 
-// TestCellStoreDeterministicAcrossWorkers extends the journal determinism
-// contract to the store file: one sweep, any worker count, identical
-// bytes on disk.
+// TestCellStoreDeterministicAcrossWorkers pins the spill determinism
+// contract: one sweep, any worker count, identical bytes on disk.
 func TestCellStoreDeterministicAcrossWorkers(t *testing.T) {
 	xAxis, _ := AxisByName("lambda0")
 	yAxis, _ := AxisByName("churn")

@@ -11,16 +11,17 @@
 //     Empirical via Monte-Carlo classification, or ad-hoc experiment
 //     evaluators).
 //   - Runner — the sharded evaluation layer: deduplicates points through a
-//     memoizing Cache keyed by a canonical hash of model.Params + scenario
-//     + evaluator fingerprint, and fans the cache misses across
+//     memoizing Cache keyed by a canonical hash of model.Params, scenario
+//     and evaluator fingerprint, and fans the cache misses across
 //     internal/engine. Every cell runs on a stream derived from its own
 //     cache key, so its outcome is independent of batch composition,
 //     worker count, and resume state.
 //   - Grid — the adaptive quadtree driver producing a Map raster with
 //     deterministic iteration order (output is bit-for-bit stable across
 //     worker counts).
-//   - Cache — the memo table, with an optional JSONL journal so an
-//     interrupted sweep resumes without re-simulating finished cells.
+//   - Cache — the memo table, with an optional columnar cell store
+//     (OpenCellStore) so an interrupted sweep resumes without
+//     re-simulating finished cells.
 //
 // Experiment E16, cmd/phasemap, examples/stabilitymap, and the E5/E14 case
 // scans all ride this package; see DESIGN.md §8.
@@ -110,7 +111,7 @@ type Runner struct {
 	Workers int
 	// Cache memoizes evaluated cells. Nil allocates a private in-memory
 	// cache on first use (still deduplicates within and across batches of
-	// one Runner); attach a journal-backed cache to spill and resume.
+	// one Runner); attach a cell store (OpenCellStore) to spill and resume.
 	Cache *Cache
 	// Progress, when non-nil, receives live completion counts for each
 	// batch: name is the batch label (e.g. the refinement round), done and
@@ -153,7 +154,7 @@ func (r *Runner) cache() *Cache {
 // Points evaluates the given points and returns their cells in input
 // order. Cached points are answered from the memo table; duplicate keys
 // evaluate once; the remaining misses run as one engine job named name,
-// sharded across the worker pool. Results and the journal byte stream are
+// sharded across the worker pool. Results and the cell-store bytes are
 // deterministic for any worker count because each cell's stream is a pure
 // function of its cache key and cache writes follow input order.
 //
@@ -234,7 +235,7 @@ func (r *Runner) Points(ctx context.Context, name string, pts []Point) ([]Cell, 
 		if _, err := engine.Run(ctx, job); err != nil {
 			return nil, err
 		}
-		// Commit in batch order so the journal is deterministic.
+		// Commit in batch order so the cell store is deterministic.
 		for i, w := range misses {
 			if err := cache.Put(w.key, canonicalPoint(w.pt), cells[i]); err != nil {
 				return nil, fmt.Errorf("sweep: cache: %w", err)
