@@ -8,7 +8,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/gf"
-	"repro/internal/kernel"
 	"repro/internal/lyapunov"
 	"repro/internal/markov"
 	"repro/internal/model"
@@ -300,7 +298,8 @@ func BenchmarkAblationStateReprPerPeer(b *testing.B) {
 
 // BenchmarkAblationEventSamplingLinear measures the seed's linear walk
 // over occupied types for weighted peer selection (replaced in production
-// by the kernel's Fenwick sampler — see BenchmarkPeerSelection*).
+// by the kernel's Fenwick sampler — see internal/kernel's
+// BenchmarkSelect*).
 func BenchmarkAblationEventSamplingLinear(b *testing.B) {
 	benchSampling(b, false)
 }
@@ -433,71 +432,6 @@ func randomSubspaces(b *testing.B, f *gf.Field, k, n int, r *rng.RNG) []*gf.Subs
 
 // --- kernel sampler scaling (linear scan vs Fenwick) -----------------------
 //
-// The seed simulators selected the contacted peer/type by a linear
-// cumulative scan over occupied slots; the kernel replaced it with a
-// Fenwick-tree sampler. These pairs measure both on identical populations
-// from 1e2 to 1e6 occupied slots; EXPERIMENTS.md records a summary. The
-// acceptance bar for the kernel refactor is ≥5× at 1e5 slots.
-
-var selectionSizes = []int{100, 1_000, 10_000, 100_000, 1_000_000}
-
-func selectionCounts(n int) ([]int, int) {
-	r := rng.New(42)
-	counts := make([]int, n)
-	total := 0
-	for i := range counts {
-		counts[i] = 1 + r.Intn(8)
-		total += counts[i]
-	}
-	return counts, total
-}
-
-// BenchmarkPeerSelectionLinear is the seed baseline (pickPeerType's scan).
-func BenchmarkPeerSelectionLinear(b *testing.B) {
-	for _, n := range selectionSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			counts, total := selectionCounts(n)
-			r := rng.New(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				target := r.Intn(total)
-				for j, c := range counts {
-					target -= c
-					if target < 0 {
-						sink += j
-						break
-					}
-				}
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkPeerSelectionFenwick is the production kernel sampler.
-func BenchmarkPeerSelectionFenwick(b *testing.B) {
-	for _, n := range selectionSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			counts, _ := selectionCounts(n)
-			var sampler kernel.Counts[int]
-			for i, c := range counts {
-				sampler.Add(i, c)
-			}
-			r := rng.New(7)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				k, _ := sampler.Pick(r)
-				sink += k
-			}
-			_ = sink
-		})
-	}
-}
-
 // BenchmarkSwarmStepWideOneClub measures end-to-end event throughput of
 // the type-count simulator in a many-types regime (K=16 arrivals spread
 // across types), where the old linear scan dominated the event cost.

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 
@@ -91,6 +92,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *samples < 2 {
 		return fmt.Errorf("-samples must be >= 2, got %d", *samples)
+	}
+	if !(*horizon > 0) || math.IsInf(*horizon, 1) {
+		return fmt.Errorf("-horizon must be finite and > 0, got %v", *horizon)
 	}
 	sys, err := core.NewSystem(p)
 	if err != nil {

@@ -57,15 +57,19 @@ func TestRunArrivalFlags(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-policy", "bogus"}, &b); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if err := run([]string{"-gamma", "x"}, &b); err == nil {
-		t.Error("bad gamma accepted")
-	}
-	if err := run([]string{"-mu", "0"}, &b); err == nil {
-		t.Error("zero mu accepted")
+	for _, args := range [][]string{
+		{"-policy", "bogus"},
+		{"-gamma", "x"},
+		{"-mu", "0"},
+		{"-horizon", "0"},
+		{"-horizon", "-5"},
+		{"-horizon", "nan"},
+		{"-horizon", "inf"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // fakeClock is an injectable clock for throttle tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time         { return c.t }
+func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestHeartbeat(w io.Writer) (*Heartbeat, *fakeClock) {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/gf"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stability"
 )
@@ -270,10 +269,13 @@ func (s *Swarm) ResetOccupancy() { s.k.ResetOccupancy() }
 
 // DimCounts returns the number of peers holding each subspace dimension,
 // indexed 0..K.
-func (s *Swarm) DimCounts() []int { return s.dimCountsInto(nil) }
-
-// GroupCount returns how many distinct subspace types are occupied.
-func (s *Swarm) GroupCount() int { return s.counts.Occupied() }
+func (s *Swarm) DimCounts() []int {
+	dims := make([]int, s.params.K+1)
+	s.counts.Each(func(id int, n int) {
+		dims[s.subs[id].Dim()] += n
+	})
+	return dims
+}
 
 // addID inserts one peer into the group with the given id.
 func (s *Swarm) addID(id int) {
@@ -486,106 +488,9 @@ func (s *Swarm) stepDeparture() {
 }
 
 // RunUntil advances until the time or population limit fires. An attached
-// stop-watcher ends the run cleanly (nil error); inspect the watch for the
-// hitting time.
+// stop-watcher ends the run cleanly (nil error); Halted tells that stop
+// apart from the limits.
 func (s *Swarm) RunUntil(maxTime float64, maxPeers int) error {
-	defer s.k.FlushMetrics() // exact kernel_events_total at run end
-	for s.Now() < maxTime {
-		if maxPeers > 0 && s.counts.Total() >= maxPeers {
-			return nil
-		}
-		if err := s.Step(); err != nil {
-			if errors.Is(err, kernel.ErrHalted) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// dimCache recomputes the per-dimension peer counts once per committed
-// event for Trace's dim-series probes to share.
-type dimCache struct {
-	s    *Swarm
-	dims []int
-}
-
-// OnEvent implements obs.Observer.
-func (d *dimCache) OnEvent(float64, int, float64) { d.dims = d.s.dimCountsInto(d.dims) }
-
-// dimCountsInto is DimCounts reusing the caller's buffer.
-func (s *Swarm) dimCountsInto(buf []int) []int {
-	if len(buf) != s.params.K+1 {
-		buf = make([]int, s.params.K+1)
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	s.counts.Each(func(id int, n int) {
-		buf[s.subs[id].Dim()] += n
-	})
-	return buf
-}
-
-// TracePoint is one sampled observation of a coded swarm trajectory.
-type TracePoint struct {
-	T    float64
-	N    int
-	Full int   // peers that can decode
-	Dims []int // peers per subspace dimension 0..K
-}
-
-// Trace runs until maxTime, sampling every interval time units through the
-// observation pipeline (one decimating series per subspace dimension plus
-// population and decoders). It stops early (without error) when the
-// population reaches maxPeers > 0. Each point records the state AT its
-// ladder time; a temporary pipeline is composed around any attached tap,
-// which is restored on return.
-func (s *Swarm) Trace(maxTime, interval float64, maxPeers int) ([]TracePoint, error) {
-	if interval <= 0 {
-		return nil, errors.New("codedsim: trace interval must be positive")
-	}
-	start := s.Now()
-	capacity := int((maxTime-start)/interval) + 2
-	if capacity < 4 {
-		capacity = 4
-	}
-	// Bounded at maxTime so the final event's overshoot can neither extend
-	// the trace nor overflow the capacity into a compress.
-	mk := func(name string, probe obs.Probe) *obs.Series {
-		return obs.NewBoundedSeries(name, start, interval, capacity, maxTime, probe)
-	}
-	nS := mk("n", func() float64 { return float64(s.counts.Total()) })
-	fullS := mk("full", func() float64 { return float64(s.nFull) })
-	// One dimension-count snapshot per event, shared by all K+1 dim probes:
-	// the refresher observes first (attach order), so the series' post-event
-	// probe reads are a single counts traversal instead of K+1.
-	cache := &dimCache{s: s}
-	cache.OnEvent(0, 0, 0)
-	dimS := make([]*obs.Series, s.params.K+1)
-	for d := 0; d <= s.params.K; d++ {
-		d := d
-		dimS[d] = mk(fmt.Sprintf("dim%d", d), func() float64 { return float64(cache.dims[d]) })
-	}
-	set := obs.NewSet(cache, nS, fullS)
-	for _, sr := range dimS {
-		set.Add(sr)
-	}
-	prev := s.k.Tap()
-	set.Add(prev)
-	s.k.SetTap(set)
-	defer s.k.SetTap(prev)
-
-	err := s.RunUntil(maxTime, maxPeers)
-	set.Seal(s.Now()) // the bounded ladder clamps to maxTime itself
-	out := make([]TracePoint, len(nS.Points()))
-	for i, p := range nS.Points() {
-		dims := make([]int, s.params.K+1)
-		for d := range dimS {
-			dims[d] = int(dimS[d].Points()[i].V)
-		}
-		out[i] = TracePoint{T: p.T, N: int(p.V), Full: int(fullS.Points()[i].V), Dims: dims}
-	}
-	return out, err
+	_, err := s.k.RunUntil(maxTime, maxPeers)
+	return err
 }

@@ -226,36 +226,6 @@ func TestCodedGiftedBelowThresholdGrows(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	p := basicParams(2, 2, 1.5)
-	s, err := New(p, WithSeed(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := s.Trace(30, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) < 25 {
-		t.Fatalf("trace too short: %d", len(pts))
-	}
-	for i, pt := range pts {
-		if i > 0 && pt.T <= pts[i-1].T {
-			t.Fatal("trace times not increasing")
-		}
-		total := 0
-		for _, c := range pt.Dims {
-			total += c
-		}
-		if total != pt.N || pt.Dims[len(pt.Dims)-1] != pt.Full {
-			t.Fatalf("inconsistent trace point %+v", pt)
-		}
-	}
-	if _, err := s.Trace(40, 0, 0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 func TestTracePeerCap(t *testing.T) {
 	// Strongly transient coded system (no gifts, no seed, γ=∞ would have
 	// no piece source; use tiny gift rate instead) hits the cap.
@@ -270,12 +240,11 @@ func TestTracePeerCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := s.Trace(1e9, 5, 200)
-	if err != nil {
+	if err := s.RunUntil(1e9, 200); err != nil {
 		t.Fatal(err)
 	}
 	if s.N() < 200 {
-		t.Errorf("cap did not fire: N = %d after %d points", s.N(), len(pts))
+		t.Errorf("cap did not fire: N = %d at t = %v", s.N(), s.Now())
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/markov"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stability"
 )
@@ -113,19 +112,9 @@ type RunConfig struct {
 	// and/or churn of not-yet-complete peers — on every replica. The zero
 	// value runs the plain stationary model.
 	Scenario kernel.Scenario
-	// BurnIn discards this much initial time from occupancy averaging
-	// (default Horizon/5).
-	BurnIn float64
 	// Workers bounds the engine worker pool running the replicas
 	// (0 = engine default, the process GOMAXPROCS; 1 = serial).
 	Workers int
-	// Observers, when non-nil, builds a replica's observation pipeline once
-	// its swarm exists (probes close over sw). The pipeline is tapped into
-	// the replica's kernel for the whole run, and its sealed output —
-	// decimated series, hitting-time marks, observer scalars — flows into
-	// the replica's structured engine record (and any Sink). Pipelines
-	// consume no randomness, so classification outcomes are unchanged.
-	Observers func(rep int, sw *sim.Swarm) *obs.Set
 	// Sink, when non-nil, receives structured per-replica records and the
 	// aggregate from the underlying engine job.
 	Sink engine.Sink
@@ -155,9 +144,6 @@ func (c *RunConfig) normalize() error {
 	}
 	if err := c.Scenario.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if c.BurnIn <= 0 || c.BurnIn >= c.Horizon {
-		c.BurnIn = c.Horizon / 5
 	}
 	return nil
 }
@@ -203,7 +189,7 @@ func (e Empirical) Agrees(v stability.Verdict) bool {
 // ClassifyHybrid is ClassifyEmpirically on the adaptive multi-regime
 // backend (internal/hybrid): exact CTMC near boundaries, tau-leaping in the
 // bulk, fluid ODE deep in the interior. The classification protocol —
-// burn-in, slices, the grew criterion — is identical, so verdicts are
+// burn-in, slices, the grew criterion — is shared, so verdicts are
 // comparable cell for cell with the exact evaluator; what changes is the
 // cost at large scale. Scenarios and non-default policies are rejected:
 // tau-leaping aggregates the stationary RandomUseful rates of equation (1).
@@ -212,47 +198,22 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 		return Empirical{}, err
 	}
 	if cfg.Scenario.Active() {
-		return Empirical{}, fmt.Errorf("%w: %v", ErrBadConfig, hybrid.ErrScenario)
+		return Empirical{}, fmt.Errorf("%w: %w", ErrBadConfig, hybrid.ErrScenario)
 	}
 	if _, ok := cfg.Policy.(sim.RandomUseful); !ok {
 		return Empirical{}, fmt.Errorf("%w: hybrid backend supports only the random-useful policy", ErrBadConfig)
 	}
-	if cfg.Observers != nil {
-		return Empirical{}, fmt.Errorf("%w: hybrid backend has no kernel tap for observers", ErrBadConfig)
-	}
 	if err := hcfg.Validate(); err != nil {
 		return Empirical{}, err
 	}
-	backend := &engine.HybridBackend{
+	return s.classify(cfg, &engine.HybridBackend{
 		Label:  "classify-hybrid",
 		Params: s.params,
 		Config: hcfg,
 		Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (engine.Sample, error) {
-			reason, err := h.RunUntil(cfg.BurnIn, cfg.PeerCap)
+			sample, err := classifyReplica(ctx, cfg, h)
 			if err != nil {
 				return nil, err
-			}
-			if reason != sim.StopPeers {
-				h.ResetOccupancy()
-				step := (cfg.Horizon - cfg.BurnIn) / 8
-				for target := cfg.BurnIn + step; reason != sim.StopPeers && h.Now() < cfg.Horizon; target += step {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if target > cfg.Horizon {
-						target = cfg.Horizon
-					}
-					reason, err = h.RunUntil(target, cfg.PeerCap)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			sample := engine.Sample{"final_n": float64(h.N())}
-			if reason == sim.StopPeers || h.N() >= cfg.PeerCap/2 {
-				sample["grew"] = 1
-			} else {
-				sample["occupancy"] = h.MeanPeers()
 			}
 			st := h.Stats()
 			sample["leaps"] = float64(st.Leaps)
@@ -260,31 +221,7 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 			sample["fluid_steps"] = float64(st.FluidSteps)
 			return sample, nil
 		},
-	}
-	res, err := engine.Run(cfg.Context, engine.Job{
-		Name:     "classify-hybrid/" + s.params.String(),
-		Backend:  backend,
-		Replicas: cfg.Replicas,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Sink:     cfg.Sink,
-		Progress: cfg.Progress,
 	})
-	if err != nil {
-		return Empirical{}, err
-	}
-	grew := res.Count("grew")
-	out := Empirical{
-		Replicas:      cfg.Replicas,
-		Grew:          2*grew > cfg.Replicas,
-		GrowFraction:  float64(grew) / float64(cfg.Replicas),
-		MeanFinalN:    res.Mean("final_n"),
-		MeanOccupancy: math.NaN(),
-	}
-	if res.Count("occupancy") > 0 {
-		out.MeanOccupancy = res.Mean("occupancy")
-	}
-	return out, nil
 }
 
 // ClassifyEmpirically runs independent replicas through the parallel
@@ -295,46 +232,68 @@ func (s *System) ClassifyEmpirically(cfg RunConfig) (Empirical, error) {
 	if err := cfg.normalize(); err != nil {
 		return Empirical{}, err
 	}
-	backend := &engine.SwarmBackend{
+	return s.classify(cfg, &engine.SwarmBackend{
 		Label:    "classify",
 		Params:   s.params,
 		Options:  []sim.Option{sim.WithPolicy(cfg.Policy)},
 		Scenario: cfg.Scenario,
-		Observe:  cfg.Observers,
 		Measure: func(ctx context.Context, rep int, sw *sim.Swarm) (engine.Sample, error) {
-			reason, err := sw.RunUntil(cfg.BurnIn, cfg.PeerCap)
+			return classifyReplica(ctx, cfg, sw)
+		},
+	})
+}
+
+// classifiable is what the classification protocol needs of a swarm; the
+// exact (sim.Swarm) and multi-regime (hybrid.Swarm) simulators provide it.
+type classifiable interface {
+	RunUntil(maxTime float64, maxPeers int) (sim.StopReason, error)
+	ResetOccupancy()
+	Now() float64
+	N() int
+	MeanPeers() float64
+}
+
+// classifyReplica is the one replica body of the classification protocol:
+// burn in to Horizon/5, restart the occupancy estimator, then advance to
+// the horizon in eighths (checking ctx between slices so a cancelled run
+// stops promptly). The replica grew when it hit the peer cap or ended at
+// least half-way to it; otherwise its post-burn-in occupancy is sampled.
+func classifyReplica[S classifiable](ctx context.Context, cfg RunConfig, sw S) (engine.Sample, error) {
+	burnIn := cfg.Horizon / 5
+	reason, err := sw.RunUntil(burnIn, cfg.PeerCap)
+	if err != nil {
+		return nil, err
+	}
+	if reason != sim.StopPeers {
+		sw.ResetOccupancy()
+		step := (cfg.Horizon - burnIn) / 8
+		for target := burnIn + step; reason != sim.StopPeers && sw.Now() < cfg.Horizon; target += step {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if target > cfg.Horizon {
+				target = cfg.Horizon
+			}
+			reason, err = sw.RunUntil(target, cfg.PeerCap)
 			if err != nil {
 				return nil, err
 			}
-			if reason != sim.StopPeers && reason != sim.StopObserver {
-				sw.ResetOccupancy()
-				// Advance in slices so a cancelled run stops promptly; a
-				// stop-watcher in cfg.Observers ends the replica early, too.
-				step := (cfg.Horizon - cfg.BurnIn) / 8
-				for target := cfg.BurnIn + step; reason != sim.StopPeers && reason != sim.StopObserver && sw.Now() < cfg.Horizon; target += step {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if target > cfg.Horizon {
-						target = cfg.Horizon
-					}
-					reason, err = sw.RunUntil(target, cfg.PeerCap)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			sample := engine.Sample{"final_n": float64(sw.N())}
-			if reason == sim.StopPeers || sw.N() >= cfg.PeerCap/2 {
-				sample["grew"] = 1
-			} else {
-				sample["occupancy"] = sw.MeanPeers()
-			}
-			return sample, nil
-		},
+		}
 	}
+	sample := engine.Sample{"final_n": float64(sw.N())}
+	if reason == sim.StopPeers || sw.N() >= cfg.PeerCap/2 {
+		sample["grew"] = 1
+	} else {
+		sample["occupancy"] = sw.MeanPeers()
+	}
+	return sample, nil
+}
+
+// classify runs the replicas of one classification job on backend (the
+// job is named after it) and folds them into the majority verdict.
+func (s *System) classify(cfg RunConfig, backend engine.Backend) (Empirical, error) {
 	res, err := engine.Run(cfg.Context, engine.Job{
-		Name:     "classify/" + s.params.String(),
+		Name:     backend.Name() + "/" + s.params.String(),
 		Backend:  backend,
 		Replicas: cfg.Replicas,
 		Seed:     cfg.Seed,

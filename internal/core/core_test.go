@@ -5,9 +5,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/hybrid"
+	"repro/internal/kernel"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/pieceset"
 	"repro/internal/sim"
 	"repro/internal/stability"
@@ -157,58 +157,58 @@ func TestAgreesBorderline(t *testing.T) {
 	}
 }
 
-// TestRunConfigObservers: per-replica pipelines attach through the
-// classification path, their output lands in the sink's structured
-// records, and the classification outcome itself is unchanged.
-func TestRunConfigObservers(t *testing.T) {
-	s := k1System(t, 0.5, 1, 1, 2)
-	base := RunConfig{Horizon: 200, PeerCap: 300, Replicas: 3, Seed: 7}
-	plain, err := s.ClassifyEmpirically(base)
-	if err != nil {
-		t.Fatal(err)
+// TestClassifyHybrid: the hybrid path rejects what tau-leaping cannot
+// represent — scenarios, non-default policies, an invalid regime config —
+// and otherwise runs the shared classification protocol to the same
+// grows/bounded verdicts as the exact path.
+func TestClassifyHybrid(t *testing.T) {
+	stable := k1System(t, 0.5, 1, 1, 2)
+	transient := k1System(t, 8, 1, 1, 2)
+	cfg := RunConfig{Horizon: 200, PeerCap: 300, Replicas: 3, Seed: 7}
+	with := func(f func(*RunConfig)) RunConfig {
+		c := cfg
+		f(&c)
+		return c
 	}
-	rec := &recordingSink{}
-	observed := base
-	observed.Sink = rec
-	observed.Observers = func(rep int, sw *sim.Swarm) *obs.Set {
-		return obs.NewSet(
-			obs.NewSeries("n", 0, 10, 32, func() float64 { return float64(sw.N()) }),
-			obs.NewPopulationWatch("n2", 2, false),
-		)
+	cases := []struct {
+		name    string
+		sys     *System
+		cfg     RunConfig
+		hcfg    hybrid.Config
+		wantErr []error
+		grew    bool
+	}{
+		{name: "scenario", sys: stable,
+			cfg:     with(func(c *RunConfig) { c.Scenario = kernel.Scenario{Churn: 0.1} }),
+			wantErr: []error{ErrBadConfig, hybrid.ErrScenario}},
+		{name: "policy", sys: stable,
+			cfg:     with(func(c *RunConfig) { c.Policy = sim.RarestFirst{} }),
+			wantErr: []error{ErrBadConfig}},
+		{name: "inverted-leap-band", sys: stable, cfg: cfg,
+			hcfg:    hybrid.Config{LeapEnter: 10, LeapExit: 20},
+			wantErr: []error{hybrid.ErrBadConfig}},
+		{name: "stable", sys: stable, cfg: cfg},
+		{name: "transient", sys: transient, cfg: cfg, grew: true},
 	}
-	withObs, err := s.ClassifyEmpirically(observed)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := c.sys.ClassifyHybrid(c.cfg, c.hcfg)
+			if c.wantErr != nil {
+				for _, want := range c.wantErr {
+					if !errors.Is(err, want) {
+						t.Errorf("err = %v, want %v", err, want)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Grew != c.grew || !e.Agrees(c.sys.Verdict()) || e.Replicas != 3 {
+				t.Errorf("verdict %s, want grew=%v: %+v", e.Label(), c.grew, e)
+			}
+		})
 	}
-	if withObs != plain {
-		t.Errorf("observers changed the classification: %+v vs %+v", withObs, plain)
-	}
-	if len(rec.replicas) != 3 {
-		t.Fatalf("sink saw %d replica records", len(rec.replicas))
-	}
-	for i, r := range rec.replicas {
-		if len(r.Series["n"]) == 0 {
-			t.Errorf("replica %d record missing n series", i)
-		}
-		if _, ok := r.Marks["n2"]; !ok {
-			t.Errorf("replica %d record missing n2 mark", i)
-		}
-	}
-}
-
-type recordingSink struct {
-	replicas   []engine.ReplicaRecord
-	aggregates []engine.AggregateRecord
-}
-
-func (s *recordingSink) WriteReplica(r engine.ReplicaRecord) error {
-	s.replicas = append(s.replicas, r)
-	return nil
-}
-
-func (s *recordingSink) WriteAggregate(a engine.AggregateRecord) error {
-	s.aggregates = append(s.aggregates, a)
-	return nil
 }
 
 func TestNewSwarmUsesParams(t *testing.T) {

@@ -140,35 +140,6 @@ func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Re
 	}, nil, b.Measure)
 }
 
-// RecoveryBackend drives the fast-recovery variant of the type-count
-// simulator (sim.NewRecovery) with speed-up factor Eta.
-type RecoveryBackend struct {
-	Label   string
-	Params  model.Params
-	Eta     float64
-	Options []sim.Option
-	// Scenario, when active, overlays time-varying arrivals and churn.
-	Scenario kernel.Scenario
-	// Observe, when non-nil, builds the replica's observer pipeline (see
-	// SwarmBackend.Observe).
-	Observe func(rep int, sw *sim.RecoverySwarm) *obs.Set
-	Measure func(ctx context.Context, rep int, sw *sim.RecoverySwarm) (Sample, error)
-}
-
-// Name implements Backend.
-func (b *RecoveryBackend) Name() string { return orDefault(b.Label, "recovery") }
-
-// RunReplica implements Backend.
-func (b *RecoveryBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	return runReplica(ctx, rep, func() (*sim.RecoverySwarm, error) {
-		opts := append([]sim.Option{}, b.Options...)
-		if b.Scenario.Active() {
-			opts = append(opts, sim.WithScenario(b.Scenario))
-		}
-		return sim.NewRecovery(b.Params, b.Eta, append(opts, sim.WithRNG(r))...)
-	}, tapped(b.Observe), b.Measure)
-}
-
 // CodedBackend drives the network-coding simulator (internal/codedsim).
 type CodedBackend struct {
 	Label   string

@@ -365,29 +365,6 @@ func TestJSONLSinkDeterministicBytes(t *testing.T) {
 
 // TestBackends drives every simulator adapter once through the engine.
 func TestBackends(t *testing.T) {
-	t.Run("recovery", func(t *testing.T) {
-		res, err := Run(context.Background(), Job{
-			Name: "recovery",
-			Backend: &RecoveryBackend{
-				Params: testParams(),
-				Eta:    2,
-				Measure: func(ctx context.Context, rep int, sw *sim.RecoverySwarm) (Sample, error) {
-					if _, err := sw.RunUntil(20, 0); err != nil {
-						return nil, err
-					}
-					return Sample{"final_n": float64(sw.N())}, nil
-				},
-			},
-			Replicas: 4,
-			Workers:  2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count("final_n") != 4 {
-			t.Errorf("recovery samples = %d", res.Count("final_n"))
-		}
-	})
 	t.Run("coded", func(t *testing.T) {
 		f := gf.MustNew(4)
 		p := stability.CodedParams{
@@ -461,7 +438,6 @@ func TestBackends(t *testing.T) {
 	t.Run("no-measure", func(t *testing.T) {
 		for _, b := range []Backend{
 			&SwarmBackend{Params: testParams()},
-			&RecoveryBackend{Params: testParams(), Eta: 1},
 			&CodedBackend{},
 			&PeerBackend{Params: testParams()},
 			&BorderlineBackend{K: 2, Lambda: 1},
@@ -481,7 +457,6 @@ func TestBackendNames(t *testing.T) {
 	}{
 		{&SwarmBackend{}, "sim"},
 		{&SwarmBackend{Label: "x"}, "x"},
-		{&RecoveryBackend{}, "recovery"},
 		{&CodedBackend{}, "codedsim"},
 		{&PeerBackend{}, "peersim"},
 		{&BorderlineBackend{}, "borderline"},

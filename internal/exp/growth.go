@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fluid"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pieceset"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -118,15 +119,19 @@ func (e *growthEvaluator) Evaluate(ctx context.Context, pt sweep.Point, r *rng.R
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	trace, err := sw.Trace(e.horizon, e.horizon/50, 1, 0)
-	if err != nil {
+	n := sw.TraceSeries(0, e.horizon, e.horizon/50, 1)[0]
+	set := obs.NewSet(n)
+	sw.SetTap(set)
+	if _, err := sw.RunUntil(e.horizon, 0); err != nil {
 		return sweep.Cell{}, err
 	}
-	xs := make([]float64, len(trace))
-	ys := make([]float64, len(trace))
-	for i, tp := range trace {
-		xs[i] = tp.T
-		ys[i] = float64(tp.N)
+	set.Seal(sw.Now())
+	pts := n.Points()
+	xs := make([]float64, len(pts))
+	ys := make([]float64, len(pts))
+	for i, pt := range pts {
+		xs[i] = pt.T
+		ys[i] = pt.V
 	}
 	_, slope, r2, err := dist.LinearFit(xs, ys)
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 // batch in one go: one atomic add to kernel_events_total and one
 // "kernel.batch" span covering the batch's wall time, with its event count
 // as the argument. Live counters therefore lag a running replica by fewer
-// than eventBatch events; FlushMetrics, which every simulator's run loop
-// calls on exit, closes the last batch so totals and span coverage are
+// than eventBatch events; FlushMetrics, which RunUntil (and the borderline
+// chain's transition loop) calls on exit, closes the last batch so totals and span coverage are
 // exact. The overhead gates (TestTelemetryOnOverhead, TestTraceOnOverhead)
 // pin the enabled loop within 2% of the disabled one.
 //
@@ -66,7 +66,7 @@ type batchMark struct {
 
 // FlushMetrics closes the open batch: it pushes the batched event count to
 // kernel_events_total and emits the batch's "kernel.batch" span, then moves
-// the watermark one batch on. Step calls it at the watermark and simulators
+// the watermark one batch on. Step calls it at the watermark and run loops
 // at run end; it is idempotent and a no-op when instrumentation is off.
 func (k *Kernel) FlushMetrics() {
 	n := k.events - k.mark.events

@@ -19,6 +19,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/dist"
 	"repro/internal/rng"
@@ -127,8 +128,8 @@ func (k *Kernel) SetTap(t Tap) {
 func (k *Kernel) Tap() Tap { return k.tap }
 
 // TapHalted reports whether the attached tap is currently requesting a
-// halt — how run loops distinguish an observer stop from a horizon stop
-// when their simulator's RunUntil has no StopReason channel.
+// halt — how callers of a simulator whose RunUntil returns no StopReason
+// (peersim, codedsim) tell an observer stop from a horizon stop.
 func (k *Kernel) TapHalted() bool { return k.halter != nil && k.halter.Halted() }
 
 // MeanPopulation returns the time-averaged population since construction
@@ -192,4 +193,50 @@ func (k *Kernel) Step() error {
 		}
 	}
 	return nil
+}
+
+// StopReason explains why RunUntil returned.
+type StopReason int
+
+// Stop reasons.
+const (
+	StopTime     StopReason = iota + 1 // simulated time reached the limit
+	StopPeers                          // population reached the limit
+	StopObserver                       // an attached hitting-time watcher halted the run
+)
+
+// String names the stop reason.
+func (s StopReason) String() string {
+	switch s {
+	case StopTime:
+		return "time-limit"
+	case StopPeers:
+		return "peer-limit"
+	case StopObserver:
+		return "observer-halt"
+	default:
+		return fmt.Sprintf("stop(%d)", int(s))
+	}
+}
+
+// RunUntil is the one run loop of every kernel-backed simulator: it steps
+// while Now() < maxTime, stopping first with StopPeers once the process
+// population reaches maxPeers (checked before each step; maxPeers <= 0
+// disables the limit). An attached halting tap ends the run cleanly with
+// StopObserver. The open instrumentation batch is flushed on return, so
+// kernel_events_total is exact at run end.
+func (k *Kernel) RunUntil(maxTime float64, maxPeers int) (StopReason, error) {
+	defer k.FlushMetrics()
+	for k.now < maxTime {
+		if maxPeers > 0 && k.proc.Population() >= float64(maxPeers) {
+			return StopPeers, nil
+		}
+		if err := k.Step(); err != nil {
+			if errors.Is(err, ErrHalted) {
+				return StopObserver, nil
+			}
+			return 0, err
+		}
+	}
+	return StopTime, nil
 }

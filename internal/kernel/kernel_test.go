@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
 // birthDeath is a minimal M/M/∞-like test process: arrivals at rate lambda,
@@ -251,6 +252,60 @@ func TestKernelTapHalts(t *testing.T) {
 	// The triggering event was fully committed and observed.
 	if got := rec.pops[len(rec.pops)-1]; got != float64(p.n) {
 		t.Errorf("halt event not observed: %v != %v", got, p.n)
+	}
+}
+
+// TestKernelRunUntil covers the one run loop every kernel-backed simulator
+// delegates to: each stop reason, the disabled population limit, error
+// propagation, and an exact event counter at return.
+func TestKernelRunUntil(t *testing.T) {
+	run := func(p *birthDeath, tap Tap, maxTime float64, maxPeers int) (*Kernel, StopReason, error) {
+		k := New(rng.New(9), p)
+		k.SetTap(tap)
+		reason, err := k.RunUntil(maxTime, maxPeers)
+		return k, reason, err
+	}
+
+	p := &birthDeath{lambda: 2, mu: 1}
+	k, reason, err := run(p, nil, 50, 0)
+	if err != nil || reason != StopTime || k.Now() < 50 {
+		t.Errorf("time limit: reason=%v err=%v now=%v", reason, err, k.Now())
+	}
+
+	// Births come one at a time, so the cap stops the run exactly at it.
+	p = &birthDeath{lambda: 5, mu: 0.1}
+	if _, reason, err = run(p, nil, 100, 30); err != nil || reason != StopPeers || p.n != 30 {
+		t.Errorf("peer limit: reason=%v err=%v n=%d", reason, err, p.n)
+	}
+	for _, off := range []int{0, -1} {
+		p = &birthDeath{lambda: 5, mu: 0.1}
+		if _, reason, err = run(p, nil, 100, off); err != nil || reason != StopTime || p.n <= 30 {
+			t.Errorf("maxPeers=%d must disable the limit: reason=%v err=%v n=%d", off, reason, err, p.n)
+		}
+	}
+
+	p = &birthDeath{lambda: 5, mu: 0.1}
+	if _, reason, err = run(p, &tapRecorder{stopAt: 20}, 100, 0); err != nil || reason != StopObserver || p.n < 20 {
+		t.Errorf("observer halt: reason=%v err=%v n=%d", reason, err, p.n)
+	}
+	if reason.String() != "observer-halt" || StopReason(9).String() != "stop(9)" {
+		t.Errorf("stop reason names: %q, %q", reason.String(), StopReason(9).String())
+	}
+
+	if _, _, err = run(&birthDeath{lambda: 0, mu: 1}, nil, 10, 0); !errors.Is(err, ErrNoProgress) {
+		t.Errorf("err = %v, want ErrNoProgress", err)
+	}
+
+	// The open instrumentation batch is flushed on return.
+	defer telemetry.SetDefault(nil)
+	reg := telemetry.New()
+	telemetry.SetDefault(reg)
+	k, _, err = run(&birthDeath{lambda: 2, mu: 1, n: 100}, nil, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValue(telemetry.KernelEvents); got != k.Events() || k.Events()%eventBatch == 0 {
+		t.Errorf("kernel_events_total = %d after a run of %d events", got, k.Events())
 	}
 }
 

@@ -371,8 +371,8 @@ func TestSojournSlabStaleTag(t *testing.T) {
 	tag := s.Admit(0)
 	s.Release(tag, 1)
 	for _, f := range []func(){
-		func() { s.Release(tag, 2) },          // doubled release
-		func() { s.Release(uint64(99), 2) },   // never-issued slot
+		func() { s.Release(tag, 2) },             // doubled release
+		func() { s.Release(uint64(99), 2) },      // never-issued slot
 		func() { s.Admit(3); s.Release(tag, 4) }, // slot reused, old generation
 	} {
 		func() {

@@ -415,10 +415,6 @@ func (s *Swarm) Step() error { return s.k.Step() }
 // obs.Set pipeline — to the swarm's kernel.
 func (s *Swarm) SetTap(t kernel.Tap) { s.k.SetTap(t) }
 
-// Halted reports whether an attached stop-watcher is requesting a halt
-// (RunUntil returns cleanly in that case; this disambiguates).
-func (s *Swarm) Halted() bool { return s.k.TapHalted() }
-
 // deliver uploads one policy-chosen piece to peer `target`; uploader is the
 // index of the uploading peer or -1 for the fixed seed.
 func (s *Swarm) deliver(target, uploader int, useful pieceset.Set) {
@@ -447,17 +443,6 @@ func (s *Swarm) deliver(target, uploader int, useful pieceset.Set) {
 // stop-watcher ends the run cleanly (nil error); inspect the watch for the
 // hitting time.
 func (s *Swarm) RunUntil(maxTime float64, maxPeers int) error {
-	defer s.k.FlushMetrics() // exact kernel_events_total at run end
-	for s.Now() < maxTime {
-		if maxPeers > 0 && len(s.sets) >= maxPeers {
-			return nil
-		}
-		if err := s.Step(); err != nil {
-			if errors.Is(err, kernel.ErrHalted) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	_, err := s.k.RunUntil(maxTime, maxPeers)
+	return err
 }

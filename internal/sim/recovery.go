@@ -355,17 +355,5 @@ func (s *RecoverySwarm) upload(target speedType, useful pieceset.Set) {
 // RunUntil advances until time or population limits are hit; an attached
 // stop-watcher ends the run cleanly with StopObserver.
 func (s *RecoverySwarm) RunUntil(maxTime float64, maxPeers int) (StopReason, error) {
-	defer s.k.FlushMetrics() // exact kernel_events_total at run end
-	for s.Now() < maxTime {
-		if maxPeers > 0 && s.N() >= maxPeers {
-			return StopPeers, nil
-		}
-		if err := s.Step(); err != nil {
-			if errors.Is(err, kernel.ErrHalted) {
-				return StopObserver, nil
-			}
-			return 0, err
-		}
-	}
-	return StopTime, nil
+	return s.k.RunUntil(maxTime, maxPeers)
 }

@@ -20,29 +20,16 @@ var (
 	ErrNoProgress = kernel.ErrNoProgress
 )
 
-// StopReason explains why RunUntil returned.
-type StopReason int
+// StopReason explains why RunUntil returned; the kernel owns the run loop
+// and its stop reasons.
+type StopReason = kernel.StopReason
 
 // Stop reasons.
 const (
-	StopTime     StopReason = iota + 1 // simulated time reached the limit
-	StopPeers                          // population reached the limit
-	StopObserver                       // an attached hitting-time watcher halted the run
+	StopTime     = kernel.StopTime     // simulated time reached the limit
+	StopPeers    = kernel.StopPeers    // population reached the limit
+	StopObserver = kernel.StopObserver // an attached hitting-time watcher halted the run
 )
-
-// String names the stop reason.
-func (s StopReason) String() string {
-	switch s {
-	case StopTime:
-		return "time-limit"
-	case StopPeers:
-		return "peer-limit"
-	case StopObserver:
-		return "observer-halt"
-	default:
-		return fmt.Sprintf("stop(%d)", int(s))
-	}
-}
 
 // Stats counts the physical events a swarm has processed.
 type Stats struct {
@@ -205,12 +192,6 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 
 // Params returns the model parameters of this swarm.
 func (s *Swarm) Params() model.Params { return s.params }
-
-// Policy returns the active piece-selection policy.
-func (s *Swarm) Policy() Policy { return s.policy }
-
-// Scenario returns the workload overlay (zero value when none).
-func (s *Swarm) Scenario() kernel.Scenario { return s.scenario }
 
 // Now returns the current simulated time.
 func (s *Swarm) Now() float64 { return s.k.Now() }
@@ -438,28 +419,7 @@ func (s *Swarm) stepChurn() {
 // fired. maxPeers <= 0 disables the population limit. An attached
 // stop-watcher ends the run cleanly with StopObserver.
 func (s *Swarm) RunUntil(maxTime float64, maxPeers int) (StopReason, error) {
-	defer s.k.FlushMetrics() // exact kernel_events_total at run end
-	for s.Now() < maxTime {
-		if maxPeers > 0 && s.N() >= maxPeers {
-			return StopPeers, nil
-		}
-		if err := s.Step(); err != nil {
-			if errors.Is(err, kernel.ErrHalted) {
-				return StopObserver, nil
-			}
-			return 0, err
-		}
-	}
-	return StopTime, nil
-}
-
-// TracePoint is one sampled observation of a swarm trajectory.
-type TracePoint struct {
-	T       float64
-	N       int
-	Seeds   int
-	OneClub int // size of the one-club for the traced piece
-	Missing int // peers missing the traced piece
+	return s.k.RunUntil(maxTime, maxPeers)
 }
 
 // TraceSeries builds the standard trajectory observers for this swarm —
@@ -483,45 +443,6 @@ func (s *Swarm) TraceSeries(start, end, dt float64, piece int) []*obs.Series {
 		mk("one_club", func() float64 { return float64(s.OneClub(piece)) }),
 		mk("missing", func() float64 { return float64(s.Missing(piece)) }),
 	}
-}
-
-// Trace runs until maxTime, sampling the population every interval time
-// units through the observation pipeline, tracking the one-club of the
-// given piece. It stops early (without error) if the population reaches
-// maxPeers > 0. Each point records the state AT its ladder time (the value
-// set by the last event before it), the decimator's determinism invariant;
-// a temporary pipeline is composed around any already-attached tap, which
-// is restored on return.
-func (s *Swarm) Trace(maxTime, interval float64, piece, maxPeers int) ([]TracePoint, error) {
-	if interval <= 0 {
-		return nil, errors.New("sim: trace interval must be positive")
-	}
-	start := s.Now()
-	series := s.TraceSeries(start, maxTime, interval, piece)
-	set := obs.NewSet()
-	for _, sr := range series {
-		set.Add(sr)
-	}
-	prev := s.k.Tap()
-	set.Add(prev)
-	s.k.SetTap(set)
-	defer s.k.SetTap(prev)
-
-	_, err := s.RunUntil(maxTime, maxPeers)
-	// The bounded ladder clamps to maxTime itself; an early peer-cap stop
-	// seals at the stop time.
-	set.Seal(s.Now())
-	pts := make([]TracePoint, len(series[0].Points()))
-	for i := range pts {
-		pts[i] = TracePoint{
-			T:       series[0].Points()[i].T,
-			N:       int(series[0].Points()[i].V),
-			Seeds:   int(series[1].Points()[i].V),
-			OneClub: int(series[2].Points()[i].V),
-			Missing: int(series[3].Points()[i].V),
-		}
-	}
-	return pts, err
 }
 
 // Rates reports the current aggregate event rates of the exponential

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/pieceset"
@@ -254,25 +253,40 @@ func TestSnapshotRejectsLargeK(t *testing.T) {
 	}
 }
 
+// TestTrace: the standard trajectory series, attached through an obs.Set,
+// sample one shared increasing ladder, and never count more peers missing
+// the traced piece than there are peers.
 func TestTrace(t *testing.T) {
 	p := ex1Params(3, 1, 1, 2)
 	s, err := New(p, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := s.Trace(50, 1, 1, 0)
-	if err != nil {
+	series := s.TraceSeries(0, 50, 1, 1)
+	set := obs.NewSet()
+	for _, sr := range series {
+		set.Add(sr)
+	}
+	s.SetTap(set)
+	if _, err := s.RunUntil(50, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) < 45 {
-		t.Fatalf("trace too short: %d points", len(pts))
+	set.Seal(s.Now())
+	n, missing := series[0].Points(), series[3].Points()
+	if len(n) < 45 {
+		t.Fatalf("trace too short: %d points", len(n))
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].T <= pts[i-1].T {
+	for _, sr := range series {
+		if len(sr.Points()) != len(n) {
+			t.Fatalf("series %d points, want the shared ladder's %d", len(sr.Points()), len(n))
+		}
+	}
+	for i := range n {
+		if i > 0 && n[i].T <= n[i-1].T {
 			t.Fatal("trace times not increasing")
 		}
-		if pts[i].N < 0 || pts[i].Missing > pts[i].N {
-			t.Fatalf("inconsistent trace point %+v", pts[i])
+		if missing[i].T != n[i].T || n[i].V < 0 || missing[i].V > n[i].V {
+			t.Fatalf("inconsistent trace point %d: n=%+v missing=%+v", i, n[i], missing[i])
 		}
 	}
 }
@@ -298,38 +312,6 @@ func TestObserverStopsRunUntil(t *testing.T) {
 	}
 	if reason.String() != "observer-halt" {
 		t.Errorf("StopObserver.String() = %q", reason.String())
-	}
-}
-
-// TestTraceComposesWithAttachedTap: Trace must deliver events to a
-// previously attached pipeline while tracing, and restore it afterward.
-func TestTraceComposesWithAttachedTap(t *testing.T) {
-	s, err := New(ex1Params(3, 1, 1, 2), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := obs.NewPopulationWatch("n1", 1, false)
-	prev := obs.NewSet(w)
-	s.SetTap(prev)
-	if _, err := s.Trace(20, 1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Hit() {
-		t.Error("attached watch missed events during Trace")
-	}
-	// The original tap is restored: further events still reach it.
-	if s.k.Tap() != kernel.Tap(prev) {
-		t.Error("Trace did not restore the attached tap")
-	}
-}
-
-func TestTraceErrors(t *testing.T) {
-	s, err := New(ex1Params(1, 1, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Trace(10, 0, 1, 0); err == nil {
-		t.Error("zero interval accepted")
 	}
 }
 

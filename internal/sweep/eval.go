@@ -67,21 +67,20 @@ func (e *Empirical) Name() string { return "empirical" }
 
 // Fingerprint implements Evaluator.
 func (e *Empirical) Fingerprint() string {
-	return fmt.Sprintf("h=%s;cap=%d;rep=%d", fnum(e.Horizon), e.PeerCap, e.replicas())
+	return fmt.Sprintf("h=%s;cap=%d;rep=%d", fnum(e.Horizon), e.PeerCap, replicas(e.Replicas))
 }
 
-func (e *Empirical) replicas() int {
-	if e.Replicas <= 0 {
-		return 3
-	}
-	return e.Replicas
+// Evaluate implements Evaluator.
+func (e *Empirical) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, error) {
+	return classifyCell(ctx, pt, r, e.Horizon, e.PeerCap, e.Replicas, (*core.System).ClassifyEmpirically)
 }
 
 // Hybrid classifies points by Monte-Carlo sample paths on the adaptive
 // multi-regime backend (core.ClassifyHybrid): the same grows/bounded
 // verdicts as Empirical, at a fraction of the cost once populations are
-// large. Points with an active scenario are rejected — tau-leaping
-// aggregates the stationary rates.
+// large. Points with an active scenario are rejected with an error
+// wrapping hybrid.ErrScenario — tau-leaping aggregates the stationary
+// rates.
 type Hybrid struct {
 	// Horizon is the simulated time per replica (required).
 	Horizon float64
@@ -101,54 +100,32 @@ func (e *Hybrid) Name() string { return "hybrid" }
 // cache identity — cells leaped under one band must never satisfy a sweep
 // asking for another.
 func (e *Hybrid) Fingerprint() string {
-	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, e.replicas(), e.Config.Fingerprint())
-}
-
-func (e *Hybrid) replicas() int {
-	if e.Replicas <= 0 {
-		return 3
-	}
-	return e.Replicas
+	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, replicas(e.Replicas), e.Config.Fingerprint())
 }
 
 // Evaluate implements Evaluator.
 func (e *Hybrid) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, error) {
-	if pt.Scenario.Active() {
-		return Cell{}, hybrid.ErrScenario
-	}
-	sys, err := core.NewSystem(pt.Params)
-	if err != nil {
-		return Cell{}, err
-	}
-	seed := r.Uint64()
-	if seed == 0 {
-		seed = 1
-	}
-	emp, err := sys.ClassifyHybrid(core.RunConfig{
-		Horizon:  e.Horizon,
-		PeerCap:  e.PeerCap,
-		Replicas: e.replicas(),
-		Seed:     seed,
-		Workers:  1,
-		Context:  ctx,
-	}, e.Config)
-	if err != nil {
-		return Cell{}, err
-	}
-	cell := Cell{Class: emp.Label()}
-	cell.SetFinite("grow_fraction", emp.GrowFraction)
-	cell.SetFinite("final_n", emp.MeanFinalN)
-	cell.SetFinite("occupancy", emp.MeanOccupancy)
-	if emp.Grew {
-		cell.Value = emp.MeanFinalN
-	} else if !math.IsNaN(emp.MeanOccupancy) {
-		cell.Value = emp.MeanOccupancy
-	}
-	return cell, nil
+	return classifyCell(ctx, pt, r, e.Horizon, e.PeerCap, e.Replicas,
+		func(sys *core.System, cfg core.RunConfig) (core.Empirical, error) {
+			return sys.ClassifyHybrid(cfg, e.Config)
+		})
 }
 
-// Evaluate implements Evaluator.
-func (e *Empirical) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, error) {
+// replicas applies the Monte-Carlo evaluators' default of 3 sample paths
+// per cell.
+func replicas(n int) int {
+	if n <= 0 {
+		return 3
+	}
+	return n
+}
+
+// classifyCell is the one cell body of the Monte-Carlo evaluators: seed the
+// cell's replicas from r, classify pt through classify on one worker, and
+// render the verdict: Value is the mean final population of a growing
+// cell, else the mean occupancy.
+func classifyCell(ctx context.Context, pt Point, r *rng.RNG, horizon float64, peerCap, reps int,
+	classify func(*core.System, core.RunConfig) (core.Empirical, error)) (Cell, error) {
 	sys, err := core.NewSystem(pt.Params)
 	if err != nil {
 		return Cell{}, err
@@ -157,10 +134,10 @@ func (e *Empirical) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, e
 	if seed == 0 {
 		seed = 1
 	}
-	emp, err := sys.ClassifyEmpirically(core.RunConfig{
-		Horizon:  e.Horizon,
-		PeerCap:  e.PeerCap,
-		Replicas: e.replicas(),
+	emp, err := classify(sys, core.RunConfig{
+		Horizon:  horizon,
+		PeerCap:  peerCap,
+		Replicas: replicas(reps),
 		Seed:     seed,
 		Scenario: pt.Scenario,
 		Workers:  1,
