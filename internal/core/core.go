@@ -193,7 +193,7 @@ func (e Empirical) Agrees(v stability.Verdict) bool {
 // comparable cell for cell with the exact evaluator; what changes is the
 // cost at large scale. Scenarios and non-default policies are rejected:
 // tau-leaping aggregates the stationary RandomUseful rates of equation (1).
-func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, error) {
+func (s *System) ClassifyHybrid(cfg RunConfig) (Empirical, error) {
 	if err := cfg.normalize(); err != nil {
 		return Empirical{}, err
 	}
@@ -203,13 +203,9 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 	if _, ok := cfg.Policy.(sim.RandomUseful); !ok {
 		return Empirical{}, fmt.Errorf("%w: hybrid backend supports only the random-useful policy", ErrBadConfig)
 	}
-	if err := hcfg.Validate(); err != nil {
-		return Empirical{}, err
-	}
 	return s.classify(cfg, &engine.HybridBackend{
 		Label:  "classify-hybrid",
 		Params: s.params,
-		Config: hcfg,
 		Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (engine.Sample, error) {
 			sample, err := classifyReplica(ctx, cfg, h)
 			if err != nil {
@@ -233,10 +229,9 @@ func (s *System) ClassifyEmpirically(cfg RunConfig) (Empirical, error) {
 		return Empirical{}, err
 	}
 	return s.classify(cfg, &engine.SwarmBackend{
-		Label:    "classify",
-		Params:   s.params,
-		Options:  []sim.Option{sim.WithPolicy(cfg.Policy)},
-		Scenario: cfg.Scenario,
+		Label:   "classify",
+		Params:  s.params,
+		Options: []sim.Option{sim.WithPolicy(cfg.Policy), sim.WithScenario(cfg.Scenario)},
 		Measure: func(ctx context.Context, rep int, sw *sim.Swarm) (engine.Sample, error) {
 			return classifyReplica(ctx, cfg, sw)
 		},

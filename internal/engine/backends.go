@@ -79,12 +79,10 @@ type SwarmBackend struct {
 	Label string
 	// Params configures the swarm.
 	Params model.Params
-	// Options are extra swarm options (policy, initial peers). The engine
-	// appends its own WithRNG last, so a WithSeed here is overridden.
+	// Options are extra swarm options (policy, initial peers, scenario).
+	// The engine appends its own WithRNG last, so a WithSeed here is
+	// overridden.
 	Options []sim.Option
-	// Scenario, when active, overlays time-varying arrivals and churn on
-	// every replica (equivalent to a sim.WithScenario option).
-	Scenario kernel.Scenario
 	// Observe, when non-nil, builds the replica's observer pipeline once
 	// its swarm exists (probes close over sw); the pipeline is attached to
 	// the swarm's kernel tap before Measure runs and its sealed snapshot —
@@ -100,17 +98,13 @@ func (b *SwarmBackend) Name() string { return orDefault(b.Label, "sim") }
 // RunReplica implements Backend.
 func (b *SwarmBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
 	return runReplica(ctx, rep, func() (*sim.Swarm, error) {
-		opts := append([]sim.Option{}, b.Options...)
-		if b.Scenario.Active() {
-			opts = append(opts, sim.WithScenario(b.Scenario))
-		}
-		return sim.New(b.Params, append(opts, sim.WithRNG(r))...)
+		return sim.New(b.Params, append(append([]sim.Option{}, b.Options...), sim.WithRNG(r))...)
 	}, tapped(b.Observe), b.Measure)
 }
 
 // HybridBackend drives the adaptive multi-regime simulator
 // (internal/hybrid): exact CTMC near boundaries, tau-leaping in the bulk,
-// and optionally the fluid ODE deep in the interior. Replica streams come
+// and the fluid ODE deep in the interior. Replica streams come
 // from the engine exactly as for the other backends, so results are
 // byte-identical at any worker count. There is no Observe hook: the hybrid
 // backend has no persistent kernel to tap (its exact segments rebuild
@@ -120,8 +114,6 @@ type HybridBackend struct {
 	Label string
 	// Params configures the swarm.
 	Params model.Params
-	// Config tunes the regime thresholds (zero value = defaults).
-	Config hybrid.Config
 	// Options are extra swarm options (initial peers, watches are armed in
 	// Measure). The engine appends its own WithRNG last.
 	Options []hybrid.Option
@@ -135,8 +127,7 @@ func (b *HybridBackend) Name() string { return orDefault(b.Label, "hybrid") }
 // RunReplica implements Backend.
 func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
 	return runReplica(ctx, rep, func() (*hybrid.Swarm, error) {
-		opts := append([]hybrid.Option{}, b.Options...)
-		return hybrid.New(b.Params, append(opts, hybrid.WithConfig(b.Config), hybrid.WithRNG(r))...)
+		return hybrid.New(b.Params, append(append([]hybrid.Option{}, b.Options...), hybrid.WithRNG(r))...)
 	}, nil, b.Measure)
 }
 
@@ -167,8 +158,6 @@ type PeerBackend struct {
 	Label   string
 	Params  model.Params
 	Options []peersim.Option
-	// Scenario, when active, overlays time-varying arrivals and churn.
-	Scenario kernel.Scenario
 	// Observe, when non-nil, builds the replica's observer pipeline (see
 	// SwarmBackend.Observe). The swarm's built-in sojourn tracker
 	// (sw.Sojourn) can be added to the set so its statistics flow into the
@@ -183,11 +172,7 @@ func (b *PeerBackend) Name() string { return orDefault(b.Label, "peersim") }
 // RunReplica implements Backend.
 func (b *PeerBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
 	return runReplica(ctx, rep, func() (*peersim.Swarm, error) {
-		opts := append([]peersim.Option{}, b.Options...)
-		if b.Scenario.Active() {
-			opts = append(opts, peersim.WithScenario(b.Scenario))
-		}
-		return peersim.New(b.Params, append(opts, peersim.WithRNG(r))...)
+		return peersim.New(b.Params, append(append([]peersim.Option{}, b.Options...), peersim.WithRNG(r))...)
 	}, tapped(b.Observe), b.Measure)
 }
 

@@ -15,21 +15,29 @@ import (
 // half of the engine determinism contract: every replica draws only from
 // its private stream (the exact kernel segments, the tau-leap Poisson
 // counts; the fluid regime draws nothing), so per-replica records are
-// byte-identical however the pool schedules them. Runs under -race in CI,
-// which also exercises the shared hybrid trace track from many goroutines.
+// byte-identical however the pool schedules them. Replicas start with one
+// coordinate inside the leap band and the others above the fluid band, so
+// each replica leaps until that coordinate clears the fluid band and then
+// hands off to the ODE. Runs under -race in CI, which also exercises the shared
+// hybrid trace track from many goroutines.
 func TestHybridBackendDeterministicAcrossWorkers(t *testing.T) {
 	p := model.Params{
-		K: 2, Us: 400, Mu: 1, Gamma: math.Inf(1),
-		Lambda: map[pieceset.Set]float64{pieceset.Empty: 600},
+		K: 2, Us: 1e5, Mu: 1, Gamma: math.Inf(1),
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1.5e5},
+	}
+	initial := map[pieceset.Set]int{
+		pieceset.Empty:     80_000,
+		pieceset.MustOf(1): 80_000,
+		pieceset.MustOf(2): 40_000,
 	}
 	job := func(workers int) *Result {
 		res, err := Run(context.Background(), Job{
 			Name: "hybrid-determinism",
 			Backend: &HybridBackend{
-				Params: p,
-				Config: hybrid.Config{FluidEnter: 256, FluidExit: 128},
+				Params:  p,
+				Options: []hybrid.Option{hybrid.WithInitialPeers(initial)},
 				Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (Sample, error) {
-					if _, err := h.RunUntil(5, 0); err != nil {
+					if _, err := h.RunUntil(2, 0); err != nil {
 						return nil, err
 					}
 					st := h.Stats()
@@ -54,8 +62,9 @@ func TestHybridBackendDeterministicAcrossWorkers(t *testing.T) {
 		return res
 	}
 	base := job(1)
-	if base.Count("leaps") == 0 || base.Mean("leaps") == 0 {
-		t.Fatalf("replicas never leaped; the determinism check is vacuous")
+	if base.Mean("leaps") == 0 || base.Mean("fluid") == 0 {
+		t.Fatalf("replicas leaped %v and took %v fluid steps on average; the determinism check needs both",
+			base.Mean("leaps"), base.Mean("fluid"))
 	}
 	for _, workers := range []int{2, 8} {
 		got := job(workers)

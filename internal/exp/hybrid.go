@@ -97,7 +97,7 @@ func RunE18(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hyb, err := sys.ClassifyHybrid(cfg.runConfig(occHorizon, occCap, occReps), hybrid.Config{})
+	hyb, err := sys.ClassifyHybrid(cfg.runConfig(occHorizon, occCap, occReps))
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func RunE18(cfg Config) (*Table, error) {
 		markAgreement(ratio >= 20))
 
 	t.AddNote("both evaluators share grid, seed, replica protocol; only the backend differs")
-	t.AddNote("regime thresholds at defaults (%s)", hybrid.Config{}.Fingerprint())
+	t.AddNote("regime thresholds at defaults (%s)", hybrid.Thresholds)
 	t.AddNote("wall-clock speedups (N up to 1e6) are measured by BenchmarkHybridSpeedup → BENCH_hybrid.json")
 	return t, nil
 }

@@ -127,9 +127,9 @@ func RunE15(cfg Config) (*Table, error) {
 // or more peers.
 func scenarioBackend(p model.Params, sc kernel.Scenario, horizon float64, peerCap, growAt int) engine.Backend {
 	return &engine.SwarmBackend{
-		Label:    "scenario",
-		Params:   p,
-		Scenario: sc,
+		Label:   "scenario",
+		Params:  p,
+		Options: []sim.Option{sim.WithScenario(sc)},
 		Observe: func(rep int, sw *sim.Swarm) *obs.Set {
 			return obs.NewSet(obs.NewMax("peak_n", func() float64 { return float64(sw.N()) }))
 		},

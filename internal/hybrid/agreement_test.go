@@ -6,15 +6,25 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/pieceset"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
-// overlapConfig forces the leap regime to carry real weight at moderate N,
-// so the agreement tests actually compare tau-leaped trajectories against
-// the exact chain rather than trivially running exact on both sides.
-func overlapConfig() Config {
-	return Config{LeapEnter: 24, LeapExit: 12, NoFluid: true}
+// newOverlap builds a hybrid swarm with the leap band narrowed to 24/12, so
+// the leap regime carries real weight at moderate N and the agreement tests
+// compare tau-leaped trajectories against the exact chain rather than
+// trivially running exact on both sides. The populations stay far below
+// the fluid band.
+func newOverlap(t *testing.T, p model.Params, seed uint64) *Swarm {
+	t.Helper()
+	h, err := New(p, WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.leapEnter, h.leapExit = 24, 12
+	return h
 }
 
 // TestOccupancyAgreement is the property test of the switching rule: on
@@ -41,20 +51,18 @@ func TestOccupancyAgreement(t *testing.T) {
 			Lambda: map[pieceset.Set]float64{pieceset.Empty: lambda0},
 		}
 		var hyb, exact dist.Summary
-		var leaps uint64
+		var leaps, fluid uint64
 		for rep := 0; rep < replicas; rep++ {
 			seed := uint64(1000*inst + rep)
-			h, err := New(p, WithSeed(seed), WithConfig(overlapConfig()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := newOverlap(t, p, seed)
 			if _, err := h.RunUntil(horizon, 0); err != nil {
 				t.Fatal(err)
 			}
 			hyb.Add(h.MeanPeers())
 			leaps += h.Stats().Leaps
+			fluid += h.Stats().FluidSteps
 
-			e, err := New(p, WithSeed(seed), WithConfig(Config{NoLeap: true}))
+			e, err := sim.New(p, sim.WithSeed(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +72,10 @@ func TestOccupancyAgreement(t *testing.T) {
 			exact.Add(e.MeanPeers())
 		}
 		if leaps == 0 {
-			t.Fatalf("instance %d (%v): overlap config never leaped — test is vacuous", inst, p)
+			t.Fatalf("instance %d (%v): overlap band never leaped — test is vacuous", inst, p)
+		}
+		if fluid != 0 {
+			t.Fatalf("instance %d (%v): %d fluid steps far below the fluid band", inst, p, fluid)
 		}
 		diff := math.Abs(hyb.Mean() - exact.Mean())
 		tol := hyb.CI95() + exact.CI95()
@@ -92,31 +103,50 @@ func TestHittingTimeAgreement(t *testing.T) {
 	const replicas = 32
 	const target = 120
 	const horizon = 2000.0
-	collect := func(cfg Config, seedBase uint64) (med float64, iqr float64, samples []float64) {
+	// collect runs one watched replica per seed through run, which returns
+	// the halting time.
+	collect := func(run func(seed uint64) (sim.StopReason, float64)) (med float64, iqr float64) {
 		p2 := dist.NewP2(0.5)
+		var samples []float64
 		for rep := 0; rep < replicas; rep++ {
-			h, err := New(p, WithSeed(seedBase+uint64(rep)), WithConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
+			reason, now := run(7000 + uint64(rep))
+			if reason != sim.StopObserver {
+				t.Fatalf("replica %d never hit the one-club target: %v (t=%v)", rep, reason, now)
 			}
-			h.WatchOneClub(1, target)
-			h.WatchOneClub(2, target)
-			reason, err := h.RunUntil(horizon, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reason.String() != "observer-halt" {
-				t.Fatalf("replica %d never hit the one-club target: %v (t=%v)", rep, reason, h.Now())
-			}
-			p2.Observe(h.Now())
-			samples = append(samples, h.Now())
+			p2.Observe(now)
+			samples = append(samples, now)
 		}
 		q25 := dist.ExactQuantile(samples, 0.25)
 		q75 := dist.ExactQuantile(samples, 0.75)
-		return p2.Value(), q75 - q25, samples
+		return p2.Value(), q75 - q25
 	}
-	medH, iqrH, _ := collect(overlapConfig(), 7000)
-	medE, iqrE, _ := collect(Config{NoLeap: true}, 7000)
+	medH, iqrH := collect(func(seed uint64) (sim.StopReason, float64) {
+		h := newOverlap(t, p, seed)
+		h.WatchOneClub(1, target)
+		h.WatchOneClub(2, target)
+		reason, err := h.RunUntil(horizon, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Stats().FluidSteps != 0 {
+			t.Fatalf("fluid steps while watches are armed: %+v", h.Stats())
+		}
+		return reason, h.Now()
+	})
+	medE, iqrE := collect(func(seed uint64) (sim.StopReason, float64) {
+		sw, err := sim.New(p, sim.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.SetTap(obs.NewSet(obs.NewWatch("club", true, func(_, _ float64) bool {
+			return sw.OneClub(1) >= target || sw.OneClub(2) >= target
+		})))
+		reason, err := sw.RunUntil(horizon, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reason, sw.Now()
+	})
 	// Median standard error ≈ 1.25·σ/√R per side; the IQR-based tolerance
 	// below is ≈ 2 combined standard errors plus a small relative slack.
 	tol := 0.75*(iqrH+iqrE)/math.Sqrt(replicas)*1.86 + 0.05*medE

@@ -8,21 +8,18 @@ import (
 
 // fluidEligible decides whether the deterministic fluid ODE may take over:
 // never while a hitting-time watch is armed (watches need fluctuations),
-// never when disabled, and only once every tracked coordinate clears the
-// FluidEnter threshold, where relative fluctuations are O(1/√FluidEnter).
-// The final gate — a trial step whose step-doubling error meets FluidTol —
+// and only once every tracked coordinate clears the fluidEnter threshold,
+// where relative fluctuations are O(1/√fluidEnter).
+// The final gate — a trial step whose step-doubling error meets fluidTol —
 // runs inside runFluid, which falls straight back to leaping if the trial
 // fails; this predicate stays cheap.
 func (h *Swarm) fluidEligible(trackedMin int64) bool {
-	if h.cfg.NoFluid || h.cfg.NoLeap || len(h.watches) > 0 {
-		return false
-	}
-	return trackedMin >= int64(h.cfg.FluidEnter)
+	return len(h.watches) == 0 && trackedMin >= h.fluidEnter
 }
 
 // runFluid advances the mean-field ODE with an adaptive step controlled by
 // the step-doubling local error estimate: a step whose estimate exceeds
-// FluidTol is retried at half the size, and a comfortably accurate step
+// fluidTol is retried at half the size, and a comfortably accurate step
 // doubles the next one. The regime consumes no randomness; on exit the
 // continuous state is quantized back to integer counts (half-up rounding,
 // the γ = ∞ full coordinate pinned at zero) and handed to the leap regime.
@@ -59,7 +56,7 @@ func (h *Swarm) runFluid(maxTime float64, maxPeers int) (sim.StopReason, bool, e
 		if err != nil {
 			return 0, false, err
 		}
-		if errRel > h.cfg.FluidTol {
+		if errRel > fluidTol {
 			copy(h.xf, h.xfPrev)
 			if dt <= minDt {
 				// Too stiff for the tolerance: hand back to the stochastic
@@ -80,7 +77,7 @@ func (h *Swarm) runFluid(maxTime float64, maxPeers int) (sim.StopReason, bool, e
 			n += v
 		}
 		h.occ.Observe(h.now, n)
-		if errRel < h.cfg.FluidTol/64 && dt < maxDt {
+		if errRel < fluidTol/64 && dt < maxDt {
 			dt *= 2
 		}
 		h.fluidDt = dt
@@ -88,7 +85,7 @@ func (h *Swarm) runFluid(maxTime float64, maxPeers int) (sim.StopReason, bool, e
 			h.quantizeFluid()
 			return sim.StopPeers, true, nil
 		}
-		if h.fluidTrackedMin() < float64(h.cfg.FluidExit) {
+		if h.fluidTrackedMin() < float64(h.fluidExit) {
 			h.quantizeFluid()
 			h.switchTo(Leap)
 			return 0, false, nil

@@ -23,7 +23,7 @@
 //
 // Determinism: every random draw — exact-kernel events and leap channel
 // counts alike — comes from the replica's single stream, and the fluid
-// regime consumes none, so a (seed, parameters, config) triple produces one
+// regime consumes none, so a (seed, parameters) pair produces one
 // byte-identical trajectory at any worker count, exactly the contract of the
 // kernel-backed simulators.
 package hybrid
@@ -46,7 +46,6 @@ var (
 	// ErrTooManyPieces: the dense 2^K state and channel enumeration are
 	// sized for K ≤ 16, the same bound as the exact solver's dense states.
 	ErrTooManyPieces = errors.New("hybrid: dense regimes limited to K <= 16")
-	ErrBadConfig     = errors.New("hybrid: invalid config")
 	// ErrScenario: tau-leaping aggregates rates over a stationary law;
 	// time-varying arrival profiles and churn overlays must use the exact
 	// simulator.
@@ -77,123 +76,41 @@ func (r Regime) String() string {
 	}
 }
 
-// Config tunes the regime thresholds. The zero value means "use defaults"
-// (each field's default documented below); Validate rejects inverted
-// hysteresis bands.
-type Config struct {
-	// LeapEnter/LeapExit bound the hysteresis band on the smallest tracked
-	// coordinate (a type with peers present or positive arrival rate):
-	// tau-leaping starts when the minimum reaches LeapEnter (default 64)
-	// and stops when it falls below LeapExit (default LeapEnter/2).
-	LeapEnter int
-	LeapExit  int
+// The regime policy. Hysteresis bands apply to the smallest tracked
+// coordinate (a type with peers present or positive arrival rate):
+// tau-leaping starts when it reaches leapEnter and stops below leapExit;
+// the fluid ODE starts at fluidEnter, where relative fluctuations are below
+// 1/√50000 ≈ 0.5%, and stops below fluidExit.
+const (
+	leapEnter  = 64
+	leapExit   = leapEnter / 2
+	fluidEnter = 50000
+	fluidExit  = fluidEnter / 2
 
-	// FluidEnter/FluidExit bound the band for the deterministic fluid
-	// regime (defaults 50000 and FluidEnter/2). At the default enter
-	// threshold relative coordinate fluctuations are below 1/√50000 ≈ 0.5%.
-	FluidEnter int
-	FluidExit  int
-
-	// Epsilon is the Cao–Gillespie relative-change bound per leap
-	// (default 0.05).
-	Epsilon float64
-
-	// MinLeapEvents is the smallest expected event count per leap worth
-	// taking (default 16): when the selected tau would batch fewer events,
-	// the exact kernel is cheaper and the backend falls back to it.
-	MinLeapEvents float64
-
-	// CheckEvery is how many exact events pass between leap-eligibility
-	// checks (default 64); the check snapshots the sparse counts, so it is
-	// kept off the per-event path.
-	CheckEvery int
-
-	// ExactDwell is the minimum number of exact events after a leap→exact
-	// fallback before eligibility is reconsidered (default 512), the
-	// anti-thrash guard for states that hover at the MinLeapEvents margin.
-	ExactDwell int
-
-	// FluidTol is the per-step relative local error (step-doubling
+	// epsilon is the Cao–Gillespie relative-change bound per leap.
+	epsilon = 0.05
+	// minLeapEvents is the smallest expected event count per leap worth
+	// taking: when the selected tau would batch fewer events, the exact
+	// kernel is cheaper and the backend falls back to it.
+	minLeapEvents = 16
+	// checkEvery is how many exact events pass between leap-eligibility
+	// checks; the check snapshots the sparse counts, so it is kept off the
+	// per-event path.
+	checkEvery = 64
+	// exactDwell is the minimum number of exact events after a leap→exact
+	// fallback before eligibility is reconsidered, the anti-thrash guard for
+	// states that hover at the minLeapEvents margin.
+	exactDwell = 512
+	// fluidTol is the per-step relative local error (step-doubling
 	// estimate) the fluid regime must sustain, both to enter and to keep
-	// its adaptive step (default 1e-6).
-	FluidTol float64
+	// its adaptive step.
+	fluidTol = 1e-6
+)
 
-	// NoLeap disables tau-leaping (and with it the fluid regime): the
-	// backend becomes the exact simulator with the hybrid bookkeeping, the
-	// reference mode the agreement tests compare against.
-	NoLeap bool
-
-	// NoFluid disables only the fluid regime.
-	NoFluid bool
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.LeapEnter == 0 {
-		c.LeapEnter = 64
-	}
-	if c.LeapExit == 0 {
-		c.LeapExit = c.LeapEnter / 2
-	}
-	if c.FluidEnter == 0 {
-		c.FluidEnter = 50000
-	}
-	if c.FluidExit == 0 {
-		c.FluidExit = c.FluidEnter / 2
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
-	}
-	if c.MinLeapEvents == 0 {
-		c.MinLeapEvents = 16
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 64
-	}
-	if c.ExactDwell == 0 {
-		c.ExactDwell = 512
-	}
-	if c.FluidTol == 0 {
-		c.FluidTol = 1e-6
-	}
-	return c
-}
-
-// Validate checks a defaults-resolved config.
-func (c Config) Validate() error {
-	r := c.withDefaults()
-	switch {
-	case r.LeapEnter < 1 || r.LeapExit < 1 || r.LeapExit > r.LeapEnter:
-		return fmt.Errorf("%w: leap band enter=%d exit=%d", ErrBadConfig, r.LeapEnter, r.LeapExit)
-	case r.FluidEnter < r.LeapEnter || r.FluidExit < 1 || r.FluidExit > r.FluidEnter:
-		return fmt.Errorf("%w: fluid band enter=%d exit=%d", ErrBadConfig, r.FluidEnter, r.FluidExit)
-	case !(r.Epsilon > 0) || r.Epsilon > 0.5:
-		return fmt.Errorf("%w: epsilon=%v", ErrBadConfig, r.Epsilon)
-	case !(r.MinLeapEvents > 0):
-		return fmt.Errorf("%w: min leap events=%v", ErrBadConfig, r.MinLeapEvents)
-	case r.CheckEvery < 1 || r.ExactDwell < 0:
-		return fmt.Errorf("%w: check every=%d dwell=%d", ErrBadConfig, r.CheckEvery, r.ExactDwell)
-	case !(r.FluidTol > 0):
-		return fmt.Errorf("%w: fluid tol=%v", ErrBadConfig, r.FluidTol)
-	}
-	return nil
-}
-
-// Fingerprint renders the defaults-resolved config compactly for cache
-// identities (sweep evaluators) and logs.
-func (c Config) Fingerprint() string {
-	r := c.withDefaults()
-	s := fmt.Sprintf("leap=%d/%d;fluid=%d/%d;eps=%g;minlev=%g;chk=%d;dwell=%d;ftol=%g",
-		r.LeapEnter, r.LeapExit, r.FluidEnter, r.FluidExit,
-		r.Epsilon, r.MinLeapEvents, r.CheckEvery, r.ExactDwell, r.FluidTol)
-	if r.NoLeap {
-		s += ";noleap"
-	}
-	if r.NoFluid {
-		s += ";nofluid"
-	}
-	return s
-}
+// Thresholds renders the regime policy for cache identities (sweep
+// evaluators) and reports. Its bytes key stored cells, so it must change
+// exactly when the policy does.
+const Thresholds = "leap=64/32;fluid=50000/25000;eps=0.05;minlev=16;chk=64;dwell=512;ftol=1e-06"
 
 // Stats counts the work the three regimes performed.
 type Stats struct {
@@ -216,7 +133,6 @@ type Option func(*config)
 type config struct {
 	seed    uint64
 	rng     *rng.RNG
-	cfg     Config
 	initial map[pieceset.Set]int
 }
 
@@ -229,11 +145,6 @@ func WithSeed(seed uint64) Option {
 // swarm takes ownership (the parallel engine passes per-replica streams).
 func WithRNG(r *rng.RNG) Option {
 	return func(c *config) { c.rng = r }
-}
-
-// WithConfig sets the regime thresholds (zero fields keep their defaults).
-func WithConfig(cfg Config) Option {
-	return func(c *config) { c.cfg = cfg }
 }
 
 // WithInitialPeers seeds the swarm with pre-existing peers by type. The map
@@ -251,10 +162,13 @@ func WithInitialPeers(counts map[pieceset.Set]int) Option {
 // use; the engine runs one Swarm per replica.
 type Swarm struct {
 	params model.Params
-	cfg    Config
 	r      *rng.RNG
 	full   pieceset.Set
 	dim    int
+
+	// The hysteresis bands, the package constants; in-package tests narrow
+	// them after New to exercise the handoffs at small populations.
+	leapEnter, leapExit, fluidEnter, fluidExit int64
 
 	x   []int64 // dense type counts (authoritative outside the fluid regime)
 	n   int64   // Σ x, maintained incrementally
@@ -301,30 +215,30 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := cfg.cfg.Validate(); err != nil {
-		return nil, err
-	}
 	fsys, err := fluid.New(p)
 	if err != nil {
 		return nil, err
 	}
 	dim := 1 << uint(p.K)
 	h := &Swarm{
-		params:    p,
-		cfg:       cfg.cfg.withDefaults(),
-		full:      pieceset.Full(p.K),
-		dim:       dim,
-		x:         make([]int64, dim),
-		regime:    Exact,
-		met:       grabMetrics(),
-		muBuf:     make([]float64, dim),
-		sigBuf:    make([]float64, dim),
-		deltaBuf:  make([]int64, dim),
-		countsBuf: make(map[pieceset.Set]int, dim),
-		fsys:      fsys,
-		fstep:     fsys.NewStepper(),
-		xf:        make([]float64, dim),
-		xfPrev:    make([]float64, dim),
+		params:     p,
+		leapEnter:  leapEnter,
+		leapExit:   leapExit,
+		fluidEnter: fluidEnter,
+		fluidExit:  fluidExit,
+		full:       pieceset.Full(p.K),
+		dim:        dim,
+		x:          make([]int64, dim),
+		regime:     Exact,
+		met:        grabMetrics(),
+		muBuf:      make([]float64, dim),
+		sigBuf:     make([]float64, dim),
+		deltaBuf:   make([]int64, dim),
+		countsBuf:  make(map[pieceset.Set]int, dim),
+		fsys:       fsys,
+		fstep:      fsys.NewStepper(),
+		xf:         make([]float64, dim),
+		xfPrev:     make([]float64, dim),
 	}
 	if cfg.rng != nil {
 		h.r = cfg.rng
@@ -353,9 +267,6 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 // Params returns the model parameters.
 func (h *Swarm) Params() model.Params { return h.params }
 
-// Config returns the defaults-resolved regime config.
-func (h *Swarm) Config() Config { return h.cfg }
-
 // Now returns the current simulated time.
 func (h *Swarm) Now() float64 { return h.now }
 
@@ -377,9 +288,6 @@ func (h *Swarm) OneClub(piece int) int {
 	return int(h.x[int(h.full.Without(piece))])
 }
 
-// Regime returns the currently active regime.
-func (h *Swarm) Regime() Regime { return h.regime }
-
 // Stats returns the cumulative work counters.
 func (h *Swarm) Stats() Stats {
 	st := h.stats
@@ -396,17 +304,6 @@ func (h *Swarm) MeanPeers() float64 { return h.occ.Value() }
 func (h *Swarm) ResetOccupancy() {
 	h.occ = dist.TimeAverage{}
 	h.occ.Observe(h.now, float64(h.n))
-}
-
-// SparseCounts returns a copy of the occupied type counts.
-func (h *Swarm) SparseCounts() map[pieceset.Set]int {
-	out := make(map[pieceset.Set]int)
-	for idx, v := range h.x {
-		if v != 0 {
-			out[pieceset.Set(idx)] = int(v)
-		}
-	}
-	return out
 }
 
 // trackedMin returns the smallest tracked coordinate: a type is tracked
@@ -516,8 +413,8 @@ func (h *Swarm) runExact(maxTime float64, maxPeers int) (sim.StopReason, bool, e
 			sync()
 			return sim.StopTime, true, nil
 		}
-		if !h.cfg.NoLeap && events >= nextCheck {
-			nextCheck = events + uint64(h.cfg.CheckEvery)
+		if events >= nextCheck {
+			nextCheck = events + checkEvery
 			if h.exactEligibleForLeap(sw) {
 				sync()
 				h.switchTo(Leap)
@@ -534,7 +431,7 @@ func (h *Swarm) runExact(maxTime float64, maxPeers int) (sim.StopReason, bool, e
 }
 
 // exactEligibleForLeap snapshots the exact simulator's counts and applies
-// the LeapEnter threshold to the smallest tracked coordinate.
+// the leapEnter threshold to the smallest tracked coordinate.
 func (h *Swarm) exactEligibleForLeap(sw *sim.Swarm) bool {
 	counts := sw.SparseCountsInto(h.countsBuf)
 	m := int64(math.MaxInt64)
@@ -551,7 +448,7 @@ func (h *Swarm) exactEligibleForLeap(sw *sim.Swarm) bool {
 			m = v
 		}
 	}
-	return m != math.MaxInt64 && m >= int64(h.cfg.LeapEnter)
+	return m != math.MaxInt64 && m >= h.leapEnter
 }
 
 // denseToCounts converts the dense state into the sparse map sim.New wants,

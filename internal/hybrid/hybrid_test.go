@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,39 +19,27 @@ func stablePoint(us, lambda0 float64) model.Params {
 	}
 }
 
-// TestConfigValidate exercises the hysteresis-band checks.
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config invalid: %v", err)
-	}
-	bad := []Config{
-		{LeapEnter: 10, LeapExit: 20},   // inverted leap band
-		{FluidEnter: 10},                // fluid band below LeapEnter default
-		{Epsilon: 0.9},                  // relative-change bound too coarse
-		{FluidTol: -1},                  // negative tolerance
-		{LeapEnter: 64, CheckEvery: -1}, // negative check stride
-		{MinLeapEvents: -3},             // negative leap-worthiness floor
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, c)
-		}
-	}
-	fp := Config{NoLeap: true}.Fingerprint()
-	if fp == (Config{}).Fingerprint() {
-		t.Error("fingerprint ignores NoLeap")
+// TestThresholdsMatchPolicy: the exported fingerprint text must render the
+// regime constants the backend actually runs, or stored sweep cells would
+// be keyed by a policy that no longer exists.
+func TestThresholdsMatchPolicy(t *testing.T) {
+	got := fmt.Sprintf("leap=%d/%d;fluid=%d/%d;eps=%g;minlev=%g;chk=%d;dwell=%d;ftol=%g",
+		leapEnter, leapExit, fluidEnter, fluidExit,
+		epsilon, float64(minLeapEvents), checkEvery, exactDwell, fluidTol)
+	if got != Thresholds {
+		t.Fatalf("Thresholds = %q, policy renders %q", Thresholds, got)
 	}
 }
 
-// TestExactReferenceMatchesSim: with leaping disabled the hybrid IS the
-// exact simulator — same stream, same events, same final state — so the
-// NoLeap mode used as the comparison baseline in the agreement tests is
-// genuinely the exact chain.
+// TestExactReferenceMatchesSim: while every tracked coordinate stays
+// below the leap band the hybrid IS the exact simulator — same stream,
+// same events, same final state — so near boundaries it is the exact
+// chain, and the agreement tests may use sim.New as their reference.
 func TestExactReferenceMatchesSim(t *testing.T) {
 	p := stablePoint(5, 8)
 	const seed, horizon = 42, 50.0
 
-	h, err := New(p, WithSeed(seed), WithConfig(Config{NoLeap: true}))
+	h, err := New(p, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +75,16 @@ func TestExactReferenceMatchesSim(t *testing.T) {
 		}
 	}
 	if h.Stats().Leaps != 0 || h.Stats().FluidSteps != 0 {
-		t.Fatalf("NoLeap mode leaped or flowed: %+v", h.Stats())
+		t.Fatalf("leaped or flowed below the leap band: %+v", h.Stats())
 	}
 }
 
 // TestRegimesEngage: a large stable point must actually use the leap (and
-// with permissive thresholds, the fluid) regime, and switching back and
+// with a narrowed fluid band, the fluid) regime, and switching back and
 // forth must preserve basic invariants.
 func TestRegimesEngage(t *testing.T) {
 	p := stablePoint(2000, 3000)
-	h, err := New(p, WithSeed(7), WithConfig(Config{NoFluid: true}))
+	h, err := New(p, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +94,9 @@ func TestRegimesEngage(t *testing.T) {
 	st := h.Stats()
 	if st.Leaps == 0 {
 		t.Fatalf("no tau-leaps on a large stable point: %+v", st)
+	}
+	if st.FluidSteps != 0 {
+		t.Fatalf("fluid steps far below the fluid band: %+v", st)
 	}
 	if st.ExactEvents == 0 {
 		t.Fatalf("exact regime never ran (start is empty): %+v", st)
@@ -119,11 +111,12 @@ func TestRegimesEngage(t *testing.T) {
 		t.Fatalf("implausibly small population %d at a λ0=3000 stable point", h.N())
 	}
 
-	// Permissive fluid thresholds: the same point must hand off to the ODE.
-	hf, err := New(p, WithSeed(7), WithConfig(Config{FluidEnter: 256, FluidExit: 128}))
+	// A narrowed fluid band: the same point must hand off to the ODE.
+	hf, err := New(p, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hf.fluidEnter, hf.fluidExit = 256, 128
 	if _, err := hf.RunUntil(8, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +128,17 @@ func TestRegimesEngage(t *testing.T) {
 	}
 }
 
-// TestHybridDeterminism: one (seed, params, config) triple, one trajectory —
-// repeated runs agree exactly in state, time, occupancy, and work counters.
+// TestHybridDeterminism: one (seed, params) pair, one trajectory — repeated
+// runs agree exactly in state, time, occupancy, and work counters, across
+// exact, leap and (with a narrowed band) fluid stretches.
 func TestHybridDeterminism(t *testing.T) {
 	p := stablePoint(800, 1200)
 	run := func() (*Swarm, Stats) {
-		h, err := New(p, WithSeed(99), WithConfig(Config{FluidEnter: 512, FluidExit: 256}))
+		h, err := New(p, WithSeed(99))
 		if err != nil {
 			t.Fatal(err)
 		}
+		h.fluidEnter, h.fluidExit = 512, 256
 		if _, err := h.RunUntil(6, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +187,7 @@ func TestWatchHaltsInEveryRegime(t *testing.T) {
 // TestPeerCapStops checks the population limit fires in the leap regime.
 func TestPeerCapStops(t *testing.T) {
 	p := stablePoint(2000, 3000)
-	h, err := New(p, WithSeed(5), WithConfig(Config{NoFluid: true}))
+	h, err := New(p, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +201,9 @@ func TestPeerCapStops(t *testing.T) {
 	if h.N() < 2500 {
 		t.Fatalf("stopped below the cap: %d", h.N())
 	}
+	if h.Stats().FluidSteps != 0 {
+		t.Fatalf("fluid steps far below the fluid band: %+v", h.Stats())
+	}
 }
 
 // TestScaledWorkReduction pins the deterministic work accounting behind the
@@ -214,7 +212,7 @@ func TestPeerCapStops(t *testing.T) {
 // chain needs events. (Wall-clock ratios live in BenchmarkHybridSpeedup.)
 func TestScaledWorkReduction(t *testing.T) {
 	p := stablePoint(20000, 30000)
-	h, err := New(p, WithSeed(11), WithConfig(Config{NoFluid: true}))
+	h, err := New(p, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +220,9 @@ func TestScaledWorkReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := h.Stats()
+	if st.FluidSteps != 0 {
+		t.Fatalf("fluid steps below the fluid band: %+v", st)
+	}
 	// The exact chain fires ≈ (λ0 + µ·N + Us)·t events; bound it below
 	// crudely by the leap events actually batched.
 	work := st.ExactEvents + st.Leaps + st.FluidSteps

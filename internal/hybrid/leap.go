@@ -99,13 +99,12 @@ func (h *Swarm) selectTau() (tau, total float64) {
 		}
 	}
 	tau = math.Inf(1)
-	eps := h.cfg.Epsilon
 	for j := 0; j < h.dim; j++ {
 		mu, sig := h.muBuf[j], h.sigBuf[j]
 		if mu == 0 && sig == 0 {
 			continue
 		}
-		b := eps * float64(h.x[j])
+		b := epsilon * float64(h.x[j])
 		if b < 1 {
 			b = 1
 		}
@@ -140,7 +139,7 @@ func (h *Swarm) runLeap(maxTime float64, maxPeers int) (sim.StopReason, bool, er
 			return sim.StopTime, true, nil
 		}
 		m := h.trackedMin()
-		if m < int64(h.cfg.LeapExit) {
+		if m < h.leapExit {
 			h.switchTo(Exact)
 			return 0, false, nil
 		}
@@ -157,10 +156,10 @@ func (h *Swarm) runLeap(maxTime float64, maxPeers int) (sim.StopReason, bool, er
 			h.now = maxTime
 			return sim.StopTime, true, nil
 		}
-		if tauSel*total < h.cfg.MinLeapEvents {
+		if tauSel*total < minLeapEvents {
 			// The bounded-change step batches too few events to beat the
 			// exact kernel; dwell there before reconsidering.
-			h.exactHold = uint64(h.cfg.ExactDwell)
+			h.exactHold = exactDwell
 			h.switchTo(Exact)
 			return 0, false, nil
 		}
@@ -171,7 +170,7 @@ func (h *Swarm) runLeap(maxTime float64, maxPeers int) (sim.StopReason, bool, er
 		if !h.applyLeap(tau) {
 			// Persistent negativity at ever-smaller steps: the state is
 			// effectively on a boundary, where the exact chain belongs.
-			h.exactHold = uint64(h.cfg.ExactDwell)
+			h.exactHold = exactDwell
 			h.switchTo(Exact)
 			return 0, false, nil
 		}

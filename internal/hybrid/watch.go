@@ -19,9 +19,6 @@ func (h *Swarm) WatchOneClub(piece, target int) {
 	h.watches = append(h.watches, watch{piece: piece, target: target})
 }
 
-// ClearWatches disarms all watches.
-func (h *Swarm) ClearWatches() { h.watches = h.watches[:0] }
-
 // watchFired reports whether any armed watch holds at the dense state.
 func (h *Swarm) watchFired() bool {
 	for _, w := range h.watches {

@@ -93,16 +93,13 @@ func NewRecovery(p model.Params, eta float64, opts ...Option) (*RecoverySwarm, e
 	}
 	s.arrivalPicker = picker
 	s.lambdaTotal = picker.Total()
-	for c, count := range cfg.initial {
-		if count < 0 || !c.SubsetOf(s.full) {
-			return nil, fmt.Errorf("sim: invalid initial peers %v x %d", c, count)
-		}
-		if c == s.full && p.GammaInf() {
-			return nil, errors.New("sim: initial peer seeds impossible when γ = ∞")
-		}
+	err = addInitial(p, cfg.initial, func(c pieceset.Set, count int) {
 		for i := 0; i < count; i++ {
 			s.add(speedType{c: c})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.k = kernel.New(s.r, s)
 	return s, nil

@@ -29,6 +29,48 @@ func TestNewRecoveryValidation(t *testing.T) {
 	if _, err := NewRecovery(p, 2, WithInitialPeers(map[pieceset.Set]int{pieceset.MustOf(5): 1})); err == nil {
 		t.Error("out-of-range initial type accepted")
 	}
+	if _, err := NewRecovery(pInf, 2, WithInitialPeers(map[pieceset.Set]int{pieceset.Full(1): 0})); err != nil {
+		t.Errorf("zero initial seeds with γ=∞ rejected: %v", err)
+	}
+}
+
+// TestRecoveryInitialPeersDeterministic: a multi-type initial map must give
+// one realization per seed. The Fenwick slot layout follows insertion
+// order, so inserting in map-iteration order would vary it run to run.
+func TestRecoveryInitialPeersDeterministic(t *testing.T) {
+	p := model.Params{
+		K: 2, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+	}
+	initial := map[pieceset.Set]int{
+		pieceset.Empty:     3,
+		pieceset.MustOf(1): 5,
+		pieceset.MustOf(2): 7,
+		pieceset.Full(2):   2,
+	}
+	run := func() []float64 {
+		s, err := NewRecovery(p, 2, WithSeed(7), WithInitialPeers(initial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var path []float64
+		for i := 0; i < 200; i++ {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			path = append(path, s.Now(), float64(s.N()), float64(s.FastPeers()), float64(s.OneClub(1)))
+		}
+		return path
+	}
+	want := run()
+	for rep := 1; rep < 20; rep++ {
+		got := run()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("construction %d diverged from the first at sample %d: %v != %v", rep, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestRecoveryDeterministic(t *testing.T) {

@@ -89,26 +89,21 @@ type Hybrid struct {
 	PeerCap int
 	// Replicas is the number of sample paths per cell (default 3).
 	Replicas int
-	// Config tunes the regime thresholds (zero value = defaults).
-	Config hybrid.Config
 }
 
 // Name implements Evaluator.
 func (e *Hybrid) Name() string { return "hybrid" }
 
-// Fingerprint implements Evaluator: the regime thresholds are part of the
-// cache identity — cells leaped under one band must never satisfy a sweep
-// asking for another.
+// Fingerprint implements Evaluator: the regime policy is part of the cache
+// identity — cells leaped under one policy must never satisfy a sweep run
+// under another.
 func (e *Hybrid) Fingerprint() string {
-	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, replicas(e.Replicas), e.Config.Fingerprint())
+	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, replicas(e.Replicas), hybrid.Thresholds)
 }
 
 // Evaluate implements Evaluator.
 func (e *Hybrid) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, error) {
-	return classifyCell(ctx, pt, r, e.Horizon, e.PeerCap, e.Replicas,
-		func(sys *core.System, cfg core.RunConfig) (core.Empirical, error) {
-			return sys.ClassifyHybrid(cfg, e.Config)
-		})
+	return classifyCell(ctx, pt, r, e.Horizon, e.PeerCap, e.Replicas, (*core.System).ClassifyHybrid)
 }
 
 // replicas applies the Monte-Carlo evaluators' default of 3 sample paths

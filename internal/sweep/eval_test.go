@@ -23,8 +23,6 @@ func TestMonteCarloFingerprints(t *testing.T) {
 		{&Empirical{Horizon: 1e5, PeerCap: 2500, Replicas: 5}, "h=100000;cap=2500;rep=5"},
 		{&Hybrid{Horizon: 40, PeerCap: 2000},
 			"h=40;cap=2000;rep=3;leap=64/32;fluid=50000/25000;eps=0.05;minlev=16;chk=64;dwell=512;ftol=1e-06"},
-		{&Hybrid{Horizon: 0.25, PeerCap: 10, Replicas: 7, Config: hybrid.Config{LeapEnter: 32, NoLeap: true}},
-			"h=0.25;cap=10;rep=7;leap=32/16;fluid=50000/25000;eps=0.05;minlev=16;chk=64;dwell=512;ftol=1e-06;noleap"},
 	}
 	for _, c := range cases {
 		if got := c.ev.Fingerprint(); got != c.want {
