@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -396,6 +397,9 @@ func (p predicate) match(vals []store.Value) bool {
 	return false
 }
 
+// errBadPredicate wraps every -where parse failure.
+var errBadPredicate = errors.New("bad predicate")
+
 // parsePredicates parses 'COL OP VALUE' clauses against the schema.
 // Two-character operators are matched before their one-character
 // prefixes so "<=" never parses as "<" with a stray "=" in the value.
@@ -411,24 +415,24 @@ func parsePredicates(wheres []string, sch store.Schema) ([]predicate, error) {
 			}
 		}
 		if at < 0 {
-			return nil, fmt.Errorf("bad predicate %q (want 'COL OP VALUE')", clause)
+			return nil, fmt.Errorf("%w %q (want 'COL OP VALUE')", errBadPredicate, clause)
 		}
 		name := strings.TrimSpace(clause[:at])
 		val := strings.TrimSpace(clause[at+len(op):])
 		ci := sch.Col(name)
 		if ci < 0 {
-			return nil, fmt.Errorf("predicate %q: no column %q in schema %v", clause, name, sch.Cols)
+			return nil, fmt.Errorf("%w %q: no column %q in schema %v", errBadPredicate, clause, name, sch.Cols)
 		}
 		p := predicate{col: ci, typ: sch.Cols[ci].Type, op: op}
 		if p.typ == store.String {
 			if op != "=" && op != "!=" {
-				return nil, fmt.Errorf("predicate %q: string column %q supports only = and !=", clause, name)
+				return nil, fmt.Errorf("%w %q: string column %q supports only = and !=", errBadPredicate, clause, name)
 			}
 			p.s = val
 		} else {
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return nil, fmt.Errorf("predicate %q: %v", clause, err)
+				return nil, fmt.Errorf("%w %q: %v", errBadPredicate, clause, err)
 			}
 			p.f = f
 		}

@@ -162,3 +162,20 @@ func TestMeasureReturnTimes(t *testing.T) {
 		t.Error("startN < 2 accepted")
 	}
 }
+
+// BenchmarkBorderlineTopLayer measures raw transition throughput of the
+// µ=∞ embedded chain on its top layer (Figure 3).
+func BenchmarkBorderlineTopLayer(b *testing.B) {
+	c, err := New(3, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.SetState(1_000_000, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+}

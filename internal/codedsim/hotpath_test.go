@@ -83,3 +83,26 @@ func BenchmarkHotPathStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkInnovativeStep measures the coded simulator's innovative path:
+// empty arrivals at finite γ, so transfers extend the target's subspace
+// (Add, reduce, interning a new group). BenchmarkHotPathStep never takes
+// that path, because its arrivals already hold the full subspace.
+func BenchmarkInnovativeStep(b *testing.B) {
+	f := gf.MustNew(4)
+	p := stability.CodedParams{
+		K: 4, Field: f, Us: 1, Mu: 1, Gamma: 2,
+		Arrivals: []stability.CodedArrival{{V: gf.ZeroSubspace(f, 4), Rate: 1}},
+	}
+	s, err := New(p, WithSeed(1), WithInitialPeers(gf.ZeroSubspace(f, 4), 500))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

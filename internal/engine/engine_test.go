@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -614,3 +615,39 @@ func TestManyReplicasSmoke(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkReplicas is the engine-scaling pair DESIGN.md §6 cites: one
+// fixed job — replicated type-count swarms to a fixed horizon — with a
+// single worker and with one worker per core. The ratio is the baseline
+// for parallel replica execution.
+func BenchmarkReplicas(b *testing.B) {
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			job := Job{
+				Name: "bench",
+				Backend: &SwarmBackend{
+					Params: model.Params{
+						K: 3, Us: 1, Mu: 1, Gamma: 2,
+						Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+					},
+					Measure: func(ctx context.Context, rep int, sw *sim.Swarm) (Sample, error) {
+						if _, err := sw.RunUntil(200, 0); err != nil {
+							return nil, err
+						}
+						return Sample{"final_n": float64(sw.N())}, nil
+					},
+				},
+				Replicas: 2 * runtime.NumCPU(),
+				Seed:     1,
+				Workers:  workers,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), job); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -170,15 +170,6 @@ func (s *Subspace) Field() *Field { return s.field }
 // can decode the file.
 func (s *Subspace) IsFull() bool { return s.dim == s.k }
 
-// Basis returns a copy of the canonical RREF basis rows.
-func (s *Subspace) Basis() []Vec {
-	out := make([]Vec, len(s.basis))
-	for i, r := range s.basis {
-		out[i] = r.Clone()
-	}
-	return out
-}
-
 // Key returns a canonical string key identifying the subspace, suitable for
 // map keys. Equal subspaces yield equal keys and vice versa.
 func (s *Subspace) Key() string {

@@ -32,7 +32,7 @@ func benchPoint(n int) (model.Params, map[pieceset.Set]int) {
 // BenchmarkHybridSpeedup measures wall-clock per simulated time unit for
 // the exact kernel and the hybrid backend on the same stable point, and
 // reports their ratio as the "speedup" metric — the number behind the
-// README Performance row and the BENCH_hybrid.json CI artifact. The exact
+// README Performance row and CI's BENCH.json artifact. The exact
 // leg runs a shorter horizon at large N (its cost grows linearly with the
 // event rate ≈ (λ0 + µ·n)·t); rates are normalized per simulated time.
 func BenchmarkHybridSpeedup(b *testing.B) {

@@ -251,15 +251,12 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 		h.arrivalRates = append(h.arrivalRates, p.Lambda[c])
 		h.lambdaByIdx[int(c)] = p.Lambda[c]
 	}
-	for c, count := range cfg.initial {
-		if count < 0 || !c.SubsetOf(h.full) {
-			return nil, fmt.Errorf("hybrid: invalid initial peers %v x %d", c, count)
-		}
-		if c == h.full && count > 0 && p.GammaInf() {
-			return nil, errors.New("hybrid: initial peer seeds impossible when γ = ∞")
-		}
+	err = p.AddInitial(cfg.initial, func(c pieceset.Set, count int) {
 		h.x[int(c)] += int64(count)
 		h.n += int64(count)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 	return h, nil
 }

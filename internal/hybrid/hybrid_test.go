@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -16,6 +17,23 @@ func stablePoint(us, lambda0 float64) model.Params {
 	return model.Params{
 		K: 2, Us: us, Mu: 1, Gamma: math.Inf(1),
 		Lambda: map[pieceset.Set]float64{pieceset.Empty: lambda0},
+	}
+}
+
+// TestNewValidation: initial peers go through the same checks as the
+// exact simulators — seeds are rejected at γ = ∞, a zero seed count is not.
+func TestNewValidation(t *testing.T) {
+	p := stablePoint(1, 3)
+	full := pieceset.Full(2)
+	if _, err := New(p, WithInitialPeers(map[pieceset.Set]int{full: 1})); !errors.Is(err, model.ErrBadInitial) {
+		t.Errorf("seeds at γ=∞: err = %v, want ErrBadInitial", err)
+	}
+	h, err := New(p, WithInitialPeers(map[pieceset.Set]int{full: 0, pieceset.Empty: 3}))
+	if err != nil {
+		t.Fatalf("zero seeds at γ=∞ rejected: %v", err)
+	}
+	if h.N() != 3 {
+		t.Errorf("N = %d, want 3", h.N())
 	}
 }
 

@@ -3,8 +3,10 @@ package kernel
 // Micro-benchmarks for the kernel's weighted samplers: the O(n) linear
 // scan the simulators used before (seed baseline) against the O(log n)
 // Fenwick-backed Counts sampler, across occupied-slot counts from 1e2 to
-// 1e6. CI runs these in short -benchtime mode and uploads the JSON output
-// as the BENCH_kernel artifact; EXPERIMENTS.md records a summary.
+// 1e6; BenchmarkSelectCumulative (cumulative_bench_test.go) adds a
+// cumulative array rebuilt per draw on the same slots. CI runs every
+// benchmark in the module in one short -benchtime pass and uploads the
+// JSON output as BENCH.json; EXPERIMENTS.md records a summary.
 
 import (
 	"fmt"

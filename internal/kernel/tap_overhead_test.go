@@ -63,7 +63,7 @@ func timeSteps(b *birthDeath, k *Kernel, iters int, step func() error) time.Dura
 // slack absorbs timer granularity. Skipped in -short mode and under the
 // race detector, whose instrumentation swamps the nanosecond scale;
 // BenchmarkKernelStep* in internal/obs record the same pair in CI's
-// BENCH_obs.json artifact.
+// BENCH.json artifact.
 func TestTapOffOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")

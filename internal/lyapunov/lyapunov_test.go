@@ -348,3 +348,29 @@ func TestQuickDriftNegativeRandomHeavyStates(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkLyapunovDrift measures one exact drift evaluation QW(x).
+func BenchmarkLyapunovDrift(b *testing.B) {
+	p := model.Params{
+		K: 3, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+	}
+	c, err := DefaultConstants(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(p, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := model.NewState(3)
+	x[int(pieceset.Full(3).Without(1))] = 1000
+	x[int(pieceset.Full(3))] = 3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Drift(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -26,6 +26,7 @@ var (
 	ErrSeedArrival   = errors.New("model: λ_F must be 0 when γ = ∞")
 	ErrLambdaRange   = errors.New("model: λ_C type outside subsets of {1..K}")
 	ErrStateMismatch = errors.New("model: state length does not match 2^K")
+	ErrBadInitial    = errors.New("model: invalid initial peers")
 )
 
 // Params holds the model parameters. Lambda maps a piece set C to the
@@ -74,6 +75,34 @@ func (p Params) Validate() error {
 	}
 	if total <= 0 {
 		return ErrNoArrivals
+	}
+	return nil
+}
+
+// AddInitial validates an initial population of count peers per type and
+// hands each occupied type to add in ascending type order, so that map
+// iteration order never reaches a simulator's state. Types outside
+// {1..K}, negative counts, and peer seeds when γ = ∞ are rejected with
+// ErrBadInitial; a zero count of peer seeds is accepted and skipped.
+func (p Params) AddInitial(initial map[pieceset.Set]int, add func(c pieceset.Set, count int)) error {
+	full := pieceset.Full(p.K)
+	types := make([]pieceset.Set, 0, len(initial))
+	for c := range initial {
+		types = append(types, c)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+	for _, c := range types {
+		count := initial[c]
+		if count < 0 || !c.SubsetOf(full) {
+			return fmt.Errorf("%w: %v x %d", ErrBadInitial, c, count)
+		}
+		if count == 0 {
+			continue
+		}
+		if c == full && p.GammaInf() {
+			return fmt.Errorf("%w: %d peer seeds impossible when γ = ∞", ErrBadInitial, count)
+		}
+		add(c, count)
 	}
 	return nil
 }

@@ -374,3 +374,23 @@ func TestParamsString(t *testing.T) {
 		t.Error("String with γ=∞ empty")
 	}
 }
+
+// BenchmarkGeneratorTransitions measures generator-row enumeration, the
+// exact solver's inner loop.
+func BenchmarkGeneratorTransitions(b *testing.B) {
+	p := Params{
+		K: 4, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+	}
+	x := NewState(4)
+	for i := range x {
+		x[i] = i % 3
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Transitions(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,7 @@ package obs
 // tap attached (the observer-off baseline the < 2% acceptance bound is
 // about — TestTapOffOverhead in internal/kernel enforces it against the
 // pre-tap loop), with an empty tap, and with realistic pipelines attached.
-// CI runs these in short -benchtime mode and uploads BENCH_obs.json.
+// CI runs every benchmark in short -benchtime mode and uploads BENCH.json.
 
 import (
 	"testing"

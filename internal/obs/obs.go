@@ -99,9 +99,6 @@ func (s *Snapshot) setMark(name string, t float64) {
 	s.Marks[name] = t
 }
 
-// ValueKeys returns the snapshot's scalar names, sorted.
-func (s *Snapshot) ValueKeys() []string { return sortedKeys(s.Values) }
-
 // MarkKeys returns the snapshot's mark names, sorted.
 func (s *Snapshot) MarkKeys() []string { return sortedKeys(s.Marks) }
 

@@ -13,9 +13,7 @@
 package peersim
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/kernel"
@@ -177,25 +175,16 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 	}
 	s.arrivalPicker = picker
 	s.lambdaTotal = picker.Total()
-	// Insert initial peers in sorted type order: peer indices are state
+	// AddInitial inserts in ascending type order: peer indices are state
 	// here (uniform contact picks by index), so map iteration order must
 	// not leak into the realization.
-	initialTypes := make([]pieceset.Set, 0, len(cfg.initial))
-	for c := range cfg.initial {
-		initialTypes = append(initialTypes, c)
-	}
-	sort.Slice(initialTypes, func(i, j int) bool { return initialTypes[i] < initialTypes[j] })
-	for _, c := range initialTypes {
-		count := cfg.initial[c]
-		if count < 0 || !c.SubsetOf(s.full) {
-			return nil, fmt.Errorf("peersim: invalid initial peers %v x %d", c, count)
-		}
-		if c == s.full && p.GammaInf() {
-			return nil, errors.New("peersim: initial peer seeds impossible when γ = ∞")
-		}
+	err = p.AddInitial(cfg.initial, func(c pieceset.Set, count int) {
 		for i := 0; i < count; i++ {
 			s.addPeer(c)
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("peersim: %w", err)
 	}
 	s.k = kernel.New(s.r, s)
 	return s, nil

@@ -1,6 +1,7 @@
 package peersim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -19,6 +20,25 @@ func k1Params(lambda0, us, mu, gamma float64) model.Params {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(model.Params{}); err == nil {
 		t.Error("invalid params accepted")
+	}
+	fin, inf := k1Params(1, 1, 1, 2), k1Params(1, 1, 1, math.Inf(1))
+	full := pieceset.Full(1)
+	for _, tc := range []struct {
+		name    string
+		p       model.Params
+		initial map[pieceset.Set]int
+		ok      bool
+	}{
+		{"out-of-range type", fin, map[pieceset.Set]int{pieceset.MustOf(2): 1}, false},
+		{"negative count", fin, map[pieceset.Set]int{pieceset.Empty: -1}, false},
+		{"seeds at γ=∞", inf, map[pieceset.Set]int{full: 2}, false},
+		{"zero seeds at γ=∞", inf, map[pieceset.Set]int{full: 0, pieceset.Empty: 3}, true},
+		{"seeds at finite γ", fin, map[pieceset.Set]int{full: 2}, true},
+	} {
+		_, err := New(tc.p, WithInitialPeers(tc.initial))
+		if (err == nil) != tc.ok || (err != nil && !errors.Is(err, model.ErrBadInitial)) {
+			t.Errorf("%s: err = %v, want ok = %v or ErrBadInitial", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -93,13 +93,13 @@ func NewRecovery(p model.Params, eta float64, opts ...Option) (*RecoverySwarm, e
 	}
 	s.arrivalPicker = picker
 	s.lambdaTotal = picker.Total()
-	err = addInitial(p, cfg.initial, func(c pieceset.Set, count int) {
+	err = p.AddInitial(cfg.initial, func(c pieceset.Set, count int) {
 		for i := 0; i < count; i++ {
 			s.add(speedType{c: c})
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s.k = kernel.New(s.r, s)
 	return s, nil

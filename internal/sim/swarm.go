@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/model"
@@ -163,40 +162,11 @@ func New(p model.Params, opts ...Option) (*Swarm, error) {
 	}
 	s.arrivalPicker = picker
 	s.lambdaTotal = picker.Total()
-	if err := addInitial(p, cfg.initial, s.addPeers); err != nil {
-		return nil, err
+	if err := p.AddInitial(cfg.initial, s.addPeers); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s.k = kernel.New(s.r, s)
 	return s, nil
-}
-
-// addInitial validates the initial peers and hands each occupied type to
-// add in ascending type order. The Fenwick multisets assign slots in
-// insertion order, so iterating the map directly would make the slot
-// layout — and with it the realization a seed produces — vary run to run.
-// The hybrid backend rebuilds exact swarms from multi-type snapshots mid-run
-// and relies on this being deterministic.
-func addInitial(p model.Params, initial map[pieceset.Set]int, add func(c pieceset.Set, count int)) error {
-	full := pieceset.Full(p.K)
-	types := make([]pieceset.Set, 0, len(initial))
-	for c := range initial {
-		types = append(types, c)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	for _, c := range types {
-		count := initial[c]
-		if count < 0 || !c.SubsetOf(full) {
-			return fmt.Errorf("sim: invalid initial peers %v x %d", c, count)
-		}
-		if count == 0 {
-			continue
-		}
-		if c == full && p.GammaInf() {
-			return errors.New("sim: initial peer seeds impossible when γ = ∞")
-		}
-		add(c, count)
-	}
-	return nil
 }
 
 // Params returns the model parameters of this swarm.

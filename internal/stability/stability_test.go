@@ -355,3 +355,17 @@ func TestMarginSigns(t *testing.T) {
 		t.Errorf("unstable margin = %v", unstable.Margin)
 	}
 }
+
+// BenchmarkClassify measures the Theorem 1 classification.
+func BenchmarkClassify(b *testing.B) {
+	p := model.Params{
+		K: 6, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Classify(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

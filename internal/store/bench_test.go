@@ -45,7 +45,7 @@ func benchFile(b *testing.B) string {
 }
 
 // BenchmarkStoreWrite streams 1e6 mixed-type rows per iteration into a
-// fresh store file (the BENCH_store.json write-throughput row).
+// fresh store file (the write-throughput row of CI's BENCH.json).
 func BenchmarkStoreWrite(b *testing.B) {
 	dir := b.TempDir()
 	row := make([]Value, 4)

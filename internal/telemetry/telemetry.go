@@ -358,14 +358,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
-// ObserveDuration records a duration in nanoseconds (negative clamps to 0).
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(uint64(d))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
