@@ -46,3 +46,16 @@ func FuzzParseRange(f *testing.F) {
 		}
 	})
 }
+
+func FuzzParsePieces(f *testing.F) {
+	for _, s := range []string{"1,3,4", "empty", "EMPTY", "", "{}", " 2 , 5 ", "1,,2", "0", "-1", "65", "1,1", "x", "9999999999999999999999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		set, err := ParsePieces(s)
+		typedOrNil(t, "ParsePieces("+s+")", err)
+		if err != nil && set != 0 {
+			t.Fatalf("ParsePieces(%q) failed but returned %v", s, set)
+		}
+	})
+}

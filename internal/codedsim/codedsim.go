@@ -105,10 +105,11 @@ const (
 //
 // Groups are interned: each distinct live subspace gets a dense int id on
 // first sight, the multiset of peers runs over ids, and ids of dead groups
-// recycle through a LIFO free list. The canonical-key string is built only
-// when a subspace object is newly constructed (innovative transfers, gift
-// arrivals) — steady-state events (arrivals of preset types, departures,
-// non-innovative contacts) touch no strings and no maps.
+// recycle through a LIFO free list. Steady-state events (arrivals of preset
+// types, departures, non-innovative contacts) touch no keys and no maps. An
+// innovative transfer builds the extended basis and its canonical key in
+// scratch and looks the key up without allocating; only a key not live at
+// the time allocates its subspace and key string.
 type Swarm struct {
 	params stability.CodedParams
 	r      *rng.RNG
@@ -130,8 +131,10 @@ type Swarm struct {
 	randomGiftRate float64
 	fullExchange   bool
 
-	vbuf    gf.Vec // the coded piece in flight (drawn or combined into)
-	scratch gf.Vec // ContainsBuf elimination workspace
+	vbuf    gf.Vec        // the coded piece in flight (drawn or combined into)
+	scratch gf.Vec        // ContainsBuf elimination workspace
+	ext     *gf.Extension // the target's subspace extended by an innovative piece
+	keyBuf  []byte        // canonical-key workspace for intern
 
 	stats Stats
 }
@@ -153,6 +156,7 @@ func New(p stability.CodedParams, opts ...Option) (*Swarm, error) {
 		fullExchange:   cfg.fullExchange,
 		vbuf:           make(gf.Vec, p.K),
 		scratch:        make(gf.Vec, p.K),
+		ext:            gf.NewExtension(p.Field, p.K),
 	}
 	// Cache the total arrival rate in the exact summation order Rates used
 	// to compute per event, so the cached value is bit-identical.
@@ -190,25 +194,32 @@ func New(p stability.CodedParams, opts ...Option) (*Swarm, error) {
 // sight. Permanent ids (arrival types, the full subspace, initial groups)
 // survive group death so the hot paths that hold them never re-intern.
 func (s *Swarm) intern(sub *gf.Subspace, permanent bool) int {
-	key := sub.Key()
-	if id, ok := s.idOf[key]; ok {
+	s.keyBuf = sub.AppendKey(s.keyBuf[:0])
+	if id, ok := s.idOf[string(s.keyBuf)]; ok {
 		if permanent {
 			s.perm[id] = true
 		}
 		return id
 	}
+	return s.newGroup(sub, s.keyBuf, permanent)
+}
+
+// newGroup gives a subspace whose key is not live an id, reusing the most
+// recently freed one first.
+func (s *Swarm) newGroup(sub *gf.Subspace, key []byte, permanent bool) int {
+	k := string(key)
 	var id int
 	if n := len(s.freeID); n > 0 {
 		id = s.freeID[n-1]
 		s.freeID = s.freeID[:n-1]
-		s.subs[id], s.keys[id], s.perm[id] = sub, key, permanent
+		s.subs[id], s.keys[id], s.perm[id] = sub, k, permanent
 	} else {
 		id = len(s.subs)
 		s.subs = append(s.subs, sub)
-		s.keys = append(s.keys, key)
+		s.keys = append(s.keys, k)
 		s.perm = append(s.perm, permanent)
 	}
-	s.idOf[key] = id
+	s.idOf[k] = id
 	return id
 }
 
@@ -446,7 +457,9 @@ func (s *Swarm) deliverInformed(targetID, uploaderID int) {
 
 // deliver adds coded piece v to the target group's subspace if innovative.
 // Non-innovative contacts — the steady-state bulk — only touch the scratch
-// buffer; innovative ones mint the extended subspace and intern it.
+// buffer. An innovative one extends the target's basis by the residual
+// ContainsBuf leaves in scratch, in the extension's own scratch rows, and
+// mints a subspace only when no live group has the extended key.
 func (s *Swarm) deliver(targetID int, v gf.Vec) {
 	target := s.subs[targetID]
 	in, err := target.ContainsBuf(v, s.scratch)
@@ -454,17 +467,16 @@ func (s *Swarm) deliver(targetID int, v gf.Vec) {
 		s.stats.NoOps++
 		return
 	}
-	next, err := target.Add(v)
-	if err != nil {
-		s.stats.NoOps++
-		return
-	}
+	key := s.ext.Extend(target, s.scratch)
 	// Resolve the next group's id before removeID can recycle the target's:
 	// interning first keeps the id table consistent when the target group
 	// dies in the same event.
 	nextID := -1
-	if !next.IsFull() || !s.params.GammaInf() {
-		nextID = s.intern(next, false)
+	if !s.ext.IsFull() || !s.params.GammaInf() {
+		var ok bool
+		if nextID, ok = s.idOf[string(key)]; !ok {
+			nextID = s.newGroup(s.ext.Subspace(), key, false)
+		}
 	}
 	s.removeID(targetID)
 	if nextID < 0 {

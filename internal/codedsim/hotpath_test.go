@@ -68,6 +68,45 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestInnovativeStepAllocs gates the innovative path at zero allocations,
+// on perfbench's coded point: K=3, GF(2), γ=2, empty arrivals at λ0 = 250,
+// U_s = 1.75·λ0, warmed to t = 20. Every transfer to a peer that lacks
+// the piece extends its subspace; with a few hundred peers every one of
+// GF(2)^3's 16 subspaces stays occupied, so each extension resolves to a
+// live group through the scratch key and nothing is minted.
+func TestInnovativeStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate needs a non-race build")
+	}
+	f := gf.MustNew(2)
+	const lambda0 = 250.0
+	p := stability.CodedParams{
+		K: 3, Field: f, Us: 1.75 * lambda0, Mu: 1, Gamma: 2,
+		Arrivals: []stability.CodedArrival{{V: gf.ZeroSubspace(f, 3), Rate: lambda0}},
+	}
+	s, err := New(p, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(20, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Uploads
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 50; i++ {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if s.Stats().Uploads == before {
+		t.Fatal("fixture made no innovative transfer")
+	}
+	if allocs != 0 {
+		t.Errorf("innovative Step allocates %v allocs per 50 events, want 0", allocs)
+	}
+}
+
 // BenchmarkHotPathStep measures steady-state events/sec on the coded
 // simulator; the workload is stationary so b.N does not drift the
 // population.
@@ -86,8 +125,9 @@ func BenchmarkHotPathStep(b *testing.B) {
 
 // BenchmarkInnovativeStep measures the coded simulator's innovative path:
 // empty arrivals at finite γ, so transfers extend the target's subspace
-// (Add, reduce, interning a new group). BenchmarkHotPathStep never takes
-// that path, because its arrivals already hold the full subspace.
+// (the scratch extension and its key lookup, minting a group when the key
+// is not live). BenchmarkHotPathStep never takes that path, because its
+// arrivals already hold the full subspace.
 func BenchmarkInnovativeStep(b *testing.B) {
 	f := gf.MustNew(4)
 	p := stability.CodedParams{

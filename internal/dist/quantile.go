@@ -55,59 +55,60 @@ func (e *P2) Observe(x float64) {
 		return
 	}
 	e.n++
-	// Find the marker cell containing x, extending the extremes.
-	var k int
+	// Find the marker cell containing x, extending the extremes, and shift
+	// every marker above it. The chain's order is the algorithm's: the
+	// extremes first, then the cells bottom up; a NaN fails every ordered
+	// comparison and lands in the top cell without moving the maximum.
+	q, pos := &e.q, &e.pos
 	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
+	case x < q[0]:
+		q[0] = x
+		pos[1]++
+		pos[2]++
+		pos[3]++
+	case x >= q[4]:
+		q[4] = x
+	case x < q[1]:
+		pos[1]++
+		pos[2]++
+		pos[3]++
+	case x < q[2]:
+		pos[2]++
+		pos[3]++
+	case x < q[3]:
+		pos[3]++
 	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
+	pos[4]++
+	// Only the interior desired positions are read: the extremes' desired
+	// positions are 1 and n, where their markers always sit.
+	for i := 1; i <= 3; i++ {
 		e.want[i] += e.dwant[i]
 	}
 	// Adjust the three interior markers toward their desired positions.
 	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			h := e.parabolic(i, s)
-			if e.q[i-1] < h && h < e.q[i+1] {
-				e.q[i] = h
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
+		d := e.want[i] - pos[i]
+		if !(d >= 1 && pos[i+1]-pos[i] > 1) && !(d <= -1 && pos[i-1]-pos[i] < -1) {
+			continue
 		}
+		s := 1.0
+		if d < 0 {
+			s = -1.0
+		}
+		// Piecewise-parabolic prediction; the linear one toward the
+		// neighbour in the direction of travel when the parabola overshoots.
+		h := q[i] + s/(pos[i+1]-pos[i-1])*
+			((pos[i]-pos[i-1]+s)*(q[i+1]-q[i])/(pos[i+1]-pos[i])+
+				(pos[i+1]-pos[i]-s)*(q[i]-q[i-1])/(pos[i]-pos[i-1]))
+		if !(q[i-1] < h && h < q[i+1]) {
+			j := i + 1
+			if s < 0 {
+				j = i - 1
+			}
+			h = q[i] + s*(q[j]-q[i])/(pos[j]-pos[i])
+		}
+		q[i] = h
+		pos[i] += s
 	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction for moving
-// marker i by d ∈ {−1, +1}.
-func (e *P2) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback height prediction when the parabola overshoots.
-func (e *P2) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
 }
 
 // Value returns the current quantile estimate. With fewer than five

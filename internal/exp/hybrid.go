@@ -17,7 +17,10 @@ import (
 // the Theorem 1 line), a stable point's occupancy must agree within the
 // replica confidence intervals, and the stochastic-step reduction behind
 // the backend's speedup is pinned as a deterministic work ratio. The
-// wall-clock companion lives in BenchmarkHybridSpeedup (BENCH_hybrid.json).
+// wall-clock companion is BenchmarkHybridSpeedup in internal/hybrid, which
+// CI's benchmark step records in BENCH.json. The table's printed note
+// still names the retired BENCH_hybrid.json: its bytes are part of E18's
+// pinned output.
 func RunE18(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E18",

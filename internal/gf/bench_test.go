@@ -48,17 +48,27 @@ func BenchmarkSubspaceAdd(b *testing.B) {
 }
 
 // BenchmarkAblationSubspaceKeyCanonical measures map keying through the
-// canonical RREF Key (production).
+// canonical byte key, as the coded simulator interns groups: the key is
+// appended to a reused buffer and looked up without allocating, and only a
+// new key is stored as a string.
 func BenchmarkAblationSubspaceKeyCanonical(b *testing.B) {
 	f := MustNew(4)
 	r := rng.New(3)
 	subs := randomSubspaces(b, f, 5, 200, r)
+	var key []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := make(map[string]int)
+		ids := make(map[string]int)
+		counts := make([]int, 0, 16)
 		for _, s := range subs {
-			m[s.Key()]++
+			key = s.AppendKey(key[:0])
+			if id, ok := ids[string(key)]; ok {
+				counts[id]++
+			} else {
+				ids[string(key)] = len(counts)
+				counts = append(counts, 1)
+			}
 		}
 	}
 }

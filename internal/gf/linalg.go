@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // ErrDimMismatch indicates vectors of different lengths in one operation.
@@ -32,92 +30,11 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
-// AddVec returns u + v over f.
-func (f *Field) AddVec(u, v Vec) (Vec, error) {
-	if len(u) != len(v) {
-		return nil, ErrDimMismatch
-	}
-	out := make(Vec, len(u))
-	for i := range u {
-		out[i] = f.Add(u[i], v[i])
-	}
-	return out, nil
-}
-
-// ScaleVec returns c·v over f.
-func (f *Field) ScaleVec(c int, v Vec) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = f.Mul(c, v[i])
-	}
-	return out
-}
-
-// AddScaled returns u + c·v over f, the row-operation primitive.
-func (f *Field) AddScaled(u Vec, c int, v Vec) (Vec, error) {
-	if len(u) != len(v) {
-		return nil, ErrDimMismatch
-	}
-	out := make(Vec, len(u))
-	for i := range u {
-		out[i] = f.Add(u[i], f.Mul(c, v[i]))
-	}
-	return out, nil
-}
-
-// RREF reduces the given rows in place to reduced row echelon form over f
-// and returns the rank. Zero rows sink to the bottom. Rows must share a
-// common length; the slice header contents are reordered and rewritten.
-func (f *Field) RREF(rows []Vec) (int, error) {
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	width := len(rows[0])
-	for _, r := range rows {
-		if len(r) != width {
-			return 0, ErrDimMismatch
-		}
-	}
-	rank := 0
-	for col := 0; col < width && rank < len(rows); col++ {
-		// Find a pivot in this column at or below row `rank`.
-		pivot := -1
-		for r := rank; r < len(rows); r++ {
-			if rows[r][col] != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		// Normalize the pivot row.
-		inv, err := f.Inv(rows[rank][col])
-		if err != nil {
-			return 0, err // unreachable: pivot is nonzero
-		}
-		rows[rank] = f.ScaleVec(inv, rows[rank])
-		// Eliminate the column from every other row.
-		for r := range rows {
-			if r == rank || rows[r][col] == 0 {
-				continue
-			}
-			c := f.Neg(rows[r][col])
-			rows[r], err = f.AddScaled(rows[r], c, rows[rank])
-			if err != nil {
-				return 0, err
-			}
-		}
-		rank++
-	}
-	return rank, nil
-}
-
-// Subspace is a linear subspace of F_q^K held in canonical form: an RREF
-// basis. Two Subspace values over the same field represent the same
-// subspace if and only if their Keys are equal, which is what lets the coded
-// simulator use subspaces as peer-type map keys.
+// Subspace is a linear subspace of F_q^K held in canonical form: the
+// reduced row echelon (RREF) basis. Two Subspace values over the same field
+// and ambient space represent the same subspace if and only if their Keys
+// are equal, which is what lets the coded simulator use subspaces as
+// peer-type map keys.
 type Subspace struct {
 	field *Field
 	dim   int
@@ -170,21 +87,25 @@ func (s *Subspace) Field() *Field { return s.field }
 // can decode the file.
 func (s *Subspace) IsFull() bool { return s.dim == s.k }
 
-// Key returns a canonical string key identifying the subspace, suitable for
-// map keys. Equal subspaces yield equal keys and vice versa.
-func (s *Subspace) Key() string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(s.dim))
-	for _, row := range s.basis {
-		b.WriteByte('|')
-		for i, x := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(x))
+// Key returns the canonical key as a string, for map keys: the bytes
+// AppendKey writes. Within one ambient space F_q^k, equal subspaces yield
+// equal keys and vice versa.
+func (s *Subspace) Key() string { return string(s.AppendKey(nil)) }
+
+// AppendKey appends the canonical key to dst and returns the extended
+// slice. The key is the RREF basis, row by row, each coordinate as two
+// big-endian bytes (q ≤ MaxOrder < 1<<16), so byte order follows
+// coordinate order. A caller that reuses dst and looks the key up with
+// m[string(key)] resolves a subspace without allocating.
+func (s *Subspace) AppendKey(dst []byte) []byte { return appendKey(dst, s.basis) }
+
+func appendKey(dst []byte, rows []Vec) []byte {
+	for _, row := range rows {
+		for _, x := range row {
+			dst = append(dst, byte(x>>8), byte(x))
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Contains reports whether v ∈ s, by reducing v against the RREF basis.
@@ -249,16 +170,98 @@ func (s *Subspace) Add(v Vec) (*Subspace, error) {
 	if r.IsZero() {
 		return s, nil // v already in the span; canonical form unchanged
 	}
-	rows := make([]Vec, 0, s.dim+1)
-	for _, row := range s.basis {
-		rows = append(rows, row.Clone())
+	rows := newRows(s.dim+1, s.k)
+	extend(s.field, s.basis, r, rows)
+	return &Subspace{field: s.field, k: s.k, dim: s.dim + 1, basis: rows}, nil
+}
+
+// newRows returns n zero rows of length k over one backing array.
+func newRows(n, k int) []Vec {
+	back := make(Vec, n*k)
+	rows := make([]Vec, n)
+	for i := range rows {
+		rows[i] = back[i*k : (i+1)*k : (i+1)*k]
 	}
-	rows = append(rows, r)
-	rank, err := s.field.RREF(rows)
-	if err != nil {
-		return nil, err
+	return rows
+}
+
+// extend writes the RREF basis of span(basis) + span{r} into out, which
+// holds len(basis)+1 rows of the ambient length and aliases neither basis
+// nor r. r must be nonzero and zero in every pivot column of basis, as
+// reducing a vector against the basis leaves it. The RREF of a row space
+// is unique, and this builds it directly: r, scaled to a leading 1, slots
+// in at the rank of its pivot column, and that column is eliminated from
+// the other rows, which keep their own pivots.
+func extend(f *Field, basis []Vec, r Vec, out []Vec) {
+	pc := pivotCol(r)
+	if pc < 0 {
+		panic("gf: extending a subspace by a zero residual")
 	}
-	return &Subspace{field: s.field, k: s.k, dim: rank, basis: rows[:rank]}, nil
+	inv, _ := f.Inv(r[pc]) // r[pc] ≠ 0
+	at := 0
+	for at < len(basis) && pivotCol(basis[at]) < pc {
+		at++
+	}
+	nr := out[at]
+	for i, x := range r {
+		nr[i] = f.Mul(inv, x)
+	}
+	for j, row := range basis {
+		o := out[j]
+		if j >= at {
+			o = out[j+1]
+		}
+		c := f.Neg(row[pc])
+		if c == 0 {
+			copy(o, row)
+			continue
+		}
+		for i, x := range row {
+			o[i] = f.Add(x, f.Mul(c, nr[i]))
+		}
+	}
+}
+
+// Extension holds in reusable scratch the RREF basis of a subspace
+// extended by one innovative vector. A hot path can then resolve the
+// extended subspace by its key without allocating, and build a Subspace
+// value only for a key it has not seen.
+type Extension struct {
+	field *Field
+	rows  []Vec // k scratch rows; the first dim hold the basis
+	dim   int
+	key   []byte
+}
+
+// NewExtension returns extension scratch for subspaces of F_q^k.
+func NewExtension(f *Field, k int) *Extension {
+	return &Extension{field: f, rows: newRows(k, k), key: make([]byte, 0, 2*k*k)}
+}
+
+// Extend sets e to s + span{r} and returns the canonical key of the sum
+// (the bytes Subspace.AppendKey would write), valid until the next Extend.
+// s must be a subspace of F_q^k over e's field, and r a nonzero residual of
+// s: the scratch vector ContainsBuf leaves behind when it reports false.
+// r is not modified.
+func (e *Extension) Extend(s *Subspace, r Vec) []byte {
+	e.dim = s.dim + 1
+	extend(e.field, s.basis, r, e.rows[:e.dim])
+	e.key = appendKey(e.key[:0], e.rows[:e.dim])
+	return e.key
+}
+
+// IsFull reports whether the last extension is all of F_q^k.
+func (e *Extension) IsFull() bool { return e.dim == len(e.rows) }
+
+// Subspace returns the last extension as a new Subspace that shares no
+// memory with e.
+func (e *Extension) Subspace() *Subspace {
+	k := len(e.rows)
+	rows := newRows(e.dim, k)
+	for i := range rows {
+		copy(rows[i], e.rows[i])
+	}
+	return &Subspace{field: e.field, k: k, dim: e.dim, basis: rows}
 }
 
 func (s *Subspace) mustAdd(v Vec) *Subspace {

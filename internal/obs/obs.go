@@ -116,6 +116,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // zero value is an empty, usable set.
 type Set struct {
 	observers []Observer
+	halters   []Halter // the observers that implement Halter, in attach order
 }
 
 // NewSet builds a pipeline over the given observers.
@@ -133,6 +134,9 @@ func NewSet(observers ...Observer) *Set {
 func (s *Set) Add(o Observer) {
 	if o != nil {
 		s.observers = append(s.observers, o)
+		if h, ok := o.(Halter); ok {
+			s.halters = append(s.halters, h)
+		}
 		telemetry.Inc(telemetry.ObsObservers)
 	}
 }
@@ -149,8 +153,8 @@ func (s *Set) OnEvent(t float64, class int, population float64) {
 
 // Halted reports whether any halting observer requested a stop.
 func (s *Set) Halted() bool {
-	for _, o := range s.observers {
-		if h, ok := o.(Halter); ok && h.Halted() {
+	for _, h := range s.halters {
+		if h.Halted() {
 			return true
 		}
 	}

@@ -179,7 +179,6 @@ func (r *RNG) Poisson(mean float64) int {
 	a := -0.059 + 0.02483*b
 	invAlpha := 1.1239 + 1.1328/(b-3.4)
 	vr := 0.9277 - 3.6224/(b-2)
-	logMean := math.Log(mean)
 	for {
 		u := r.Float64() - 0.5
 		v := r.Float64()
@@ -191,8 +190,10 @@ func (r *RNG) Poisson(mean float64) int {
 		if k < 0 || (us < 0.013 && v > us) {
 			continue
 		}
+		// The slow path: most draws take the fast accept above, so the
+		// logarithms are taken only here.
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
+		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-lg {
 			return int(k)
 		}
 	}

@@ -3,6 +3,9 @@ package rng
 import (
 	"errors"
 	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +163,42 @@ func TestPoissonMoments(t *testing.T) {
 	}
 	if New(1).Poisson(0) != 0 || New(1).Poisson(-2) != 0 {
 		t.Error("Poisson of non-positive mean must be 0")
+	}
+}
+
+// TestPoissonGolden pins the PTRS sampler's realizations: from seed 2026,
+// the first 1000 draws at means 30, 1e3 and 1e6 must equal the recorded
+// ones in testdata/poisson_golden.txt, one line per mean ("MEAN d1 d2 …").
+// A rewrite of the sampler that changes any draw changes every hybrid
+// realization built on it.
+func TestPoissonGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/poisson_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("golden file has %d lines, want 3", len(lines))
+	}
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		mean, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fields) != 1001 {
+			t.Fatalf("mean %g: %d draws recorded, want 1000", mean, len(fields)-1)
+		}
+		r := New(2026)
+		for i, f := range fields[1:] {
+			want, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Poisson(mean); got != want {
+				t.Fatalf("Poisson(%g) draw %d = %d, recorded %d", mean, i, got, want)
+			}
+		}
 	}
 }
 
