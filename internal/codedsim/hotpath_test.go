@@ -68,16 +68,14 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestInnovativeStepAllocs gates the innovative path at zero allocations,
-// on perfbench's coded point: K=3, GF(2), γ=2, empty arrivals at λ0 = 250,
-// U_s = 1.75·λ0, warmed to t = 20. Every transfer to a peer that lacks
-// the piece extends its subspace; with a few hundred peers every one of
+// innovativeSwarm builds the stationary innovative-path workload on
+// perfbench's coded point: K=3, GF(2), γ=2, empty arrivals at λ0 = 250,
+// U_s = 1.75·λ0, warmed to t = 20. Every transfer to a peer that lacks the
+// piece extends its subspace; with a few hundred peers every one of
 // GF(2)^3's 16 subspaces stays occupied, so each extension resolves to a
 // live group through the scratch key and nothing is minted.
-func TestInnovativeStepAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gate needs a non-race build")
-	}
+func innovativeSwarm(tb testing.TB) *Swarm {
+	tb.Helper()
 	f := gf.MustNew(2)
 	const lambda0 = 250.0
 	p := stability.CodedParams{
@@ -86,11 +84,21 @@ func TestInnovativeStepAllocs(t *testing.T) {
 	}
 	s, err := New(p, WithSeed(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.RunUntil(20, 1<<20); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s
+}
+
+// TestInnovativeStepAllocs gates the innovative path at zero allocations
+// on the innovativeSwarm fixture.
+func TestInnovativeStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate needs a non-race build")
+	}
+	s := innovativeSwarm(t)
 	before := s.Stats().Uploads
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 50; i++ {
@@ -123,21 +131,13 @@ func BenchmarkHotPathStep(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkInnovativeStep measures the coded simulator's innovative path:
-// empty arrivals at finite γ, so transfers extend the target's subspace
-// (the scratch extension and its key lookup, minting a group when the key
-// is not live). BenchmarkHotPathStep never takes that path, because its
+// BenchmarkInnovativeStep measures the coded simulator's innovative path
+// (the scratch extension and its key lookup) on the innovativeSwarm
+// fixture, whose population is stationary near 1.3e3, so ns/op does not
+// depend on b.N. BenchmarkHotPathStep never takes that path, because its
 // arrivals already hold the full subspace.
 func BenchmarkInnovativeStep(b *testing.B) {
-	f := gf.MustNew(4)
-	p := stability.CodedParams{
-		K: 4, Field: f, Us: 1, Mu: 1, Gamma: 2,
-		Arrivals: []stability.CodedArrival{{V: gf.ZeroSubspace(f, 4), Rate: 1}},
-	}
-	s, err := New(p, WithSeed(1), WithInitialPeers(gf.ZeroSubspace(f, 4), 500))
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := innovativeSwarm(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

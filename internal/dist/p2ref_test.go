@@ -10,8 +10,9 @@ import (
 
 // refP2 is the textbook P² update (Jain & Chlamtac, CACM 1985) written out
 // step by step: all five desired positions advance, the cell search loops,
-// and the height predictions are separate functions. P2.Observe must track
-// it bit for bit.
+// and the height predictions are separate functions. Non-finite values are
+// dropped before the update, the rule P2 follows. P2.Observe must track it
+// bit for bit.
 type refP2 struct {
 	n     int
 	q     [5]float64
@@ -25,6 +26,9 @@ func newRefP2(p float64) *refP2 {
 }
 
 func (e *refP2) Observe(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return
+	}
 	if e.n < 5 {
 		e.q[e.n] = x
 		e.n++
@@ -89,8 +93,10 @@ func (e *refP2) linear(i int, d float64) float64 {
 }
 
 // TestP2MatchesReference feeds P2 and the reference the same streams and
-// requires identical marker heights and positions, bit for bit (NaN
-// included), after every observation.
+// requires identical marker heights and positions, bit for bit, after
+// every observation. On the stream with ±Inf and NaN it also pins the
+// non-finite rule: every such value is counted by NonFinite, none by N,
+// and the markers stay finite.
 func TestP2MatchesReference(t *testing.T) {
 	streams := map[string]func(r *rng.RNG, i int, prev float64) float64{
 		// A population-like walk: integer steps, so heights tie often.
@@ -122,13 +128,27 @@ func TestP2MatchesReference(t *testing.T) {
 			got, ref := NewP2(p), newRefP2(p)
 			r := rng.New(31)
 			x := 50.0
+			nonFinite := 0
 			for i := 0; i < lengths[name]; i++ {
 				x = next(r, i, x)
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					nonFinite++
+				}
 				got.Observe(x)
 				ref.Observe(x)
 				if !sameBits(got.q, ref.q) || !sameBits(got.pos, ref.pos) {
 					t.Fatalf("%s p=%v: after observation %d (x=%v) q=%v pos=%v, reference q=%v pos=%v",
 						name, p, i, x, got.q, got.pos, ref.q, ref.pos)
+				}
+			}
+			if got.NonFinite() != nonFinite || got.N() != lengths[name]-nonFinite {
+				t.Errorf("%s p=%v: NonFinite %d, N %d; fed %d non-finite of %d",
+					name, p, got.NonFinite(), got.N(), nonFinite, lengths[name])
+			}
+			for _, q := range got.q {
+				if math.IsNaN(q) || math.IsInf(q, 0) {
+					t.Errorf("%s p=%v: marker heights %v not all finite", name, p, got.q)
+					break
 				}
 			}
 		}

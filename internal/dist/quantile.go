@@ -13,14 +13,18 @@ import (
 // five observations have been seen the estimator is exact (it sorts the
 // buffer). The update is deterministic in the observation order, so feeding
 // replica outcomes in replica order keeps experiment tables byte-identical
-// across worker counts. The zero value is not usable; construct with NewP2.
+// across worker counts. Non-finite observations are skipped and counted:
+// ±Inf values could otherwise turn the interior markers to NaN (Inf−Inf in
+// the height predictions) for good. The zero value is not usable;
+// construct with NewP2.
 type P2 struct {
-	p     float64
-	n     int
-	q     [5]float64 // marker heights
-	pos   [5]float64 // marker positions (1-based)
-	want  [5]float64 // desired positions
-	dwant [5]float64 // desired-position increments per observation
+	p         float64
+	n         int
+	nonFinite int
+	q         [5]float64 // marker heights
+	pos       [5]float64 // marker positions (1-based)
+	want      [5]float64 // desired positions
+	dwant     [5]float64 // desired-position increments per observation
 }
 
 // NewP2 builds an estimator for the p-quantile, 0 < p < 1 (p = 0.5 is the
@@ -37,11 +41,19 @@ func NewP2(p float64) *P2 {
 // P returns the target quantile.
 func (e *P2) P() float64 { return e.p }
 
-// N returns the number of observations.
+// N returns the number of finite observations, the ones the estimate
+// covers.
 func (e *P2) N() int { return e.n }
 
-// Observe incorporates one observation.
+// NonFinite returns the number of NaN and ±Inf observations skipped.
+func (e *P2) NonFinite() int { return e.nonFinite }
+
+// Observe incorporates one observation; a NaN or ±Inf is only counted.
 func (e *P2) Observe(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		e.nonFinite++
+		return
+	}
 	if e.n < 5 {
 		e.q[e.n] = x
 		e.n++
@@ -57,8 +69,7 @@ func (e *P2) Observe(x float64) {
 	e.n++
 	// Find the marker cell containing x, extending the extremes, and shift
 	// every marker above it. The chain's order is the algorithm's: the
-	// extremes first, then the cells bottom up; a NaN fails every ordered
-	// comparison and lands in the top cell without moving the maximum.
+	// extremes first, then the cells bottom up.
 	q, pos := &e.q, &e.pos
 	switch {
 	case x < q[0]:

@@ -18,9 +18,7 @@ import (
 // replica confidence intervals, and the stochastic-step reduction behind
 // the backend's speedup is pinned as a deterministic work ratio. The
 // wall-clock companion is BenchmarkHybridSpeedup in internal/hybrid, which
-// CI's benchmark step records in BENCH.json. The table's printed note
-// still names the retired BENCH_hybrid.json: its bytes are part of E18's
-// pinned output.
+// CI's benchmark step records in BENCH.json.
 func RunE18(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E18",
@@ -139,6 +137,6 @@ func RunE18(cfg Config) (*Table, error) {
 
 	t.AddNote("both evaluators share grid, seed, replica protocol; only the backend differs")
 	t.AddNote("regime thresholds at defaults (%s)", hybrid.Thresholds)
-	t.AddNote("wall-clock speedups (N up to 1e6) are measured by BenchmarkHybridSpeedup → BENCH_hybrid.json")
+	t.AddNote("wall-clock speedups (N up to 1e6) are measured by BenchmarkHybridSpeedup → BENCH.json")
 	return t, nil
 }

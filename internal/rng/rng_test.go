@@ -2,6 +2,7 @@ package rng
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"strconv"
@@ -143,7 +144,7 @@ func TestCategoricalNegativeIgnored(t *testing.T) {
 }
 
 func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 50} {
+	for _, mean := range []float64{0.5, 4, 10, 12.5, 20, 29.9, 50} {
 		r := New(uint64(mean*1000) + 17)
 		const draws = 50000
 		var sum, sumsq float64
@@ -166,19 +167,114 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-// TestPoissonGolden pins the PTRS sampler's realizations: from seed 2026,
-// the first 1000 draws at means 30, 1e3 and 1e6 must equal the recorded
-// ones in testdata/poisson_golden.txt, one line per mean ("MEAN d1 d2 …").
-// A rewrite of the sampler that changes any draw changes every hybrid
-// realization built on it.
+// TestPoissonPanics pins the input contract: NaN, +Inf and means from 2^53
+// on panic instead of spinning forever or overflowing int, as Exp, Intn and
+// Geometric panic on their invalid arguments.
+func TestPoissonPanics(t *testing.T) {
+	for _, mean := range []float64{math.NaN(), math.Inf(1), 1 << 53, 1e300} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Poisson(%g) did not panic", mean)
+				}
+			}()
+			New(1).Poisson(mean)
+		}()
+	}
+	if got := New(1).Poisson(math.Inf(-1)); got != 0 {
+		t.Errorf("Poisson(-Inf) = %d, want 0", got)
+	}
+	if got := New(1).Poisson(1<<53 - 1); got < 0 {
+		t.Errorf("Poisson(2^53-1) = %d, want a non-negative count", got)
+	}
+}
+
+// TestPoissonChiSquare checks the law, not just two moments, in the PTRS
+// band that starts at mean 10: 200 000 seeded draws per mean are binned
+// with tails pooled so every bin expects at least 20, and Pearson's
+// statistic is held under the chi-square 1−1e-4 quantile (Wilson–Hilferty).
+// A correct sampler on a fresh seed fails a given mean with probability
+// about 1e-4, so the four means together with probability about 4e-4.
+func TestPoissonChiSquare(t *testing.T) {
+	const draws = 200_000
+	for _, mean := range []float64{10, 12.5, 20, 29.9} {
+		pmf := func(k int) float64 {
+			lg, _ := math.Lgamma(float64(k + 1))
+			return math.Exp(float64(k)*math.Log(mean) - mean - lg)
+		}
+		// Bins are [lo, lo+1, …, hi]; bin lo pools k ≤ lo and bin hi
+		// pools k ≥ hi, each chosen as the first k whose tail expects 20.
+		lo, cum := 0, pmf(0)
+		for cum*draws < 20 {
+			lo++
+			cum += pmf(lo)
+		}
+		hi, upper := int(mean), 0.0
+		for k := int(4 * mean); k > int(mean); k-- {
+			upper += pmf(k)
+			if upper*draws >= 20 {
+				hi = k
+				break
+			}
+		}
+		want := make([]float64, hi-lo+1)
+		want[0] = cum
+		rest := 1 - cum
+		for k := lo + 1; k < hi; k++ {
+			want[k-lo] = pmf(k)
+			rest -= pmf(k)
+		}
+		want[hi-lo] = rest
+		counts := make([]float64, len(want))
+		r := New(uint64(mean*100) + 5)
+		for i := 0; i < draws; i++ {
+			k := min(max(r.Poisson(mean), lo), hi)
+			counts[k-lo]++
+		}
+		var stat float64
+		for i, c := range counts {
+			e := want[i] * draws
+			stat += (c - e) * (c - e) / e
+		}
+		df := float64(len(want) - 1)
+		const z = 3.719 // standard normal 1−1e-4 quantile
+		h := 2 / (9 * df)
+		crit := df * math.Pow(1-h+z*math.Sqrt(h), 3)
+		if stat > crit {
+			t.Errorf("Poisson(%g): chi-square %.1f on %g df exceeds %.1f", mean, stat, df, crit)
+		}
+	}
+}
+
+var poissonSink int
+
+// BenchmarkPoisson times one draw per op below the Knuth/PTRS cutover at
+// mean 10, in the band [10, 30) where hybrid leaps draw most of their
+// counts, and deeper in the PTRS band.
+func BenchmarkPoisson(b *testing.B) {
+	for _, mean := range []float64{5, 12.5, 20, 29.9, 30, 1e3, 1e6} {
+		b.Run(fmt.Sprintf("mean=%g", mean), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				poissonSink += r.Poisson(mean)
+			}
+		})
+	}
+}
+
+// TestPoissonGolden pins the sampler's realizations: from seed 2026, the
+// first 1000 draws at means 30, 1e3, 1e6, 12.5 and 20 must equal the
+// recorded ones in testdata/poisson_golden.txt, one line per mean ("MEAN
+// d1 d2 …"). A rewrite of the sampler that changes any draw changes every
+// hybrid realization built on it.
 func TestPoissonGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/poisson_golden.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("golden file has %d lines, want 3", len(lines))
+	if len(lines) != 5 {
+		t.Fatalf("golden file has %d lines, want 5", len(lines))
 	}
 	for _, line := range lines {
 		fields := strings.Fields(line)
