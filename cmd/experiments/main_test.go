@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -8,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/exp"
+	"repro/internal/golden"
+	"repro/internal/store"
 )
 
 func TestRunSelectedQuick(t *testing.T) {
@@ -96,53 +100,46 @@ func TestRunBadScenarioFlags(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism is the acceptance check for the engine: the
-// rendered tables must be byte-identical for -parallel 1 and -parallel 8
-// at the same seed.
-func TestParallelDeterminism(t *testing.T) {
-	outputs := make([]string, 0, 2)
+// TestGolden pins the binary's record outputs (DESIGN.md §15): the E16
+// run with -jsonl and -store at -parallel 1 and 8, the 8 leg with -trace
+// and -report live, must print the recorded tables and write the recorded
+// JSONL and store bytes, and the store must export back to the JSONL byte
+// for byte. internal/exp's TestE*Quick pin every table and JSONL stream.
+func TestGolden(t *testing.T) {
+	var legs [][]byte
 	for _, workers := range []string{"1", "8"} {
+		dir := t.TempDir()
+		jsonlPath, storePath := filepath.Join(dir, "e16.jsonl"), filepath.Join(dir, "e16.store")
+		args := []string{"-quick", "-seed", "1", "-parallel", workers, "-id", "E16", "-jsonl", jsonlPath, "-store", storePath}
+		if workers != "1" {
+			args = append(args, "-trace", filepath.Join(dir, "trace.json"), "-report", filepath.Join(dir, "report.json"))
+		}
 		var b strings.Builder
-		args := []string{"-quick", "-seed", "1", "-parallel", workers, "-id", "E1,E5,E8,E9,E13"}
 		if err := run(context.Background(), args, &b); err != nil {
 			t.Fatalf("-parallel %s: %v", workers, err)
 		}
-		outputs = append(outputs, stripElapsed(b.String()))
-	}
-	if outputs[0] != outputs[1] {
-		t.Errorf("tables differ between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			outputs[0], outputs[1])
-	}
-}
-
-// TestJSONLSinkDeterminism checks the structured records are also
-// byte-identical across worker counts.
-func TestJSONLSinkDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	files := make([]string, 0, 2)
-	for _, workers := range []string{"1", "4"} {
-		path := filepath.Join(dir, "out"+workers+".jsonl")
-		var b strings.Builder
-		args := []string{"-quick", "-seed", "3", "-parallel", workers, "-jsonl", path, "-id", "E9"}
-		if err := run(context.Background(), args, &b); err != nil {
-			t.Fatalf("-parallel %s: %v", workers, err)
+		jsonl, err := os.ReadFile(jsonlPath)
+		if err != nil {
+			t.Fatal(err)
 		}
-		files = append(files, path)
+		st, err := os.ReadFile(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := store.NewReader(bytes.NewReader(st), int64(len(st)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var exported bytes.Buffer
+		if err := engine.StoreToJSONL(&exported, r); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(exported.Bytes(), jsonl) {
+			t.Errorf("-parallel %s: the store does not export to the run's JSONL", workers)
+		}
+		legs = append(legs, []byte(stripElapsed(b.String())+"jsonl: "+golden.Digest(jsonl)+"store: "+golden.Digest(st)))
 	}
-	a, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bts, err := os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 {
-		t.Fatal("empty JSONL output")
-	}
-	if string(a) != string(bts) {
-		t.Errorf("JSONL differs between worker counts:\n%s\nvs\n%s", a, bts)
-	}
+	golden.Check(t, "e16.golden", legs...)
 }
 
 // stripElapsed removes the wall-clock lines, the only legitimate

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -73,32 +77,33 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedDeterministicAcrossWorkers pins the CLI's byte-identity
-// contract: same flags, different -parallel, identical output.
-func TestRunReplicatedDeterministicAcrossWorkers(t *testing.T) {
-	var ref string
+// TestGolden pins the replicated trajectory run (DESIGN.md §15): at
+// -parallel 1 and 8, the 8 leg with -trace and -report live, the run must
+// print the recorded trajectory, quantiles and summary and write the
+// recorded JSONL bytes.
+func TestGolden(t *testing.T) {
+	var legs [][]byte
 	for _, workers := range []string{"1", "8"} {
+		dir := t.TempDir()
+		jsonlPath := filepath.Join(dir, "p2psim.jsonl")
+		args := []string{
+			"-k", "3", "-lambda0", "3", "-horizon", "60", "-samples", "10", "-replicas", "4",
+			"-quantiles", "-seed", "1", "-parallel", workers, "-jsonl", jsonlPath,
+		}
+		if workers != "1" {
+			args = append(args, "-trace", filepath.Join(dir, "trace.json"), "-report", filepath.Join(dir, "report.json"))
+		}
 		var b strings.Builder
-		err := run([]string{
-			"-k", "2", "-lambda0", "3", "-horizon", "30", "-samples", "6",
-			"-replicas", "4", "-parallel", workers, "-quantiles", "-seed", "5",
-		}, &b)
+		if err := run(args, &b); err != nil {
+			t.Fatalf("-parallel %s: %v", workers, err)
+		}
+		jsonl, err := os.ReadFile(jsonlPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == "" {
-			ref = b.String()
-			continue
-		}
-		if b.String() != ref {
-			t.Errorf("output differs across -parallel values:\n%s\nvs\n%s", b.String(), ref)
-		}
+		legs = append(legs, []byte(b.String()+"jsonl: "+golden.Digest(jsonl)))
 	}
-	for _, want := range []string{"replicas   : 4", "population quantiles", "replica 0 trace"} {
-		if !strings.Contains(ref, want) {
-			t.Errorf("replicated output missing %q:\n%s", want, ref)
-		}
-	}
+	golden.Check(t, "trajectory.golden", legs...)
 }
 
 func TestRunTraceOff(t *testing.T) {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/sweep"
 )
 
@@ -44,22 +46,73 @@ func TestFormats(t *testing.T) {
 	}
 }
 
-// TestParallelByteIdentical is the CLI half of the acceptance criterion:
-// the rendered map is byte-identical across -parallel 1/2/8 at a fixed
-// seed, including the Monte-Carlo evaluator.
-func TestParallelByteIdentical(t *testing.T) {
-	common := []string{
-		"-eval", "sim", "-horizon", "30", "-peer-cap", "100", "-replicas", "2",
-		"-xcells", "3", "-ycells", "2", "-depth", "1", "-seed", "5",
-		"-xrange", "0.5,6.5", "-yrange", "0,0.8", "-format", "csv",
+// simMap and hybridMap are the pinned Monte-Carlo maps: small enough for
+// tier-1, with cells on both sides of the boundary.
+var (
+	simMap = []string{
+		"-eval", "sim", "-horizon", "40", "-peer-cap", "120", "-replicas", "2",
+		"-xcells", "4", "-ycells", "3", "-depth", "2", "-seed", "1",
 	}
-	var outs []string
-	for _, p := range []string{"1", "2", "8"} {
-		outs = append(outs, render(t, append(common, "-parallel", p)...))
+	hybridMap = []string{
+		"-eval", "hybrid", "-horizon", "40", "-peer-cap", "2000", "-replicas", "2",
+		"-k", "2", "-gamma", "inf", "-y", "us", "-xrange", "100,600", "-yrange", "50,300",
+		"-xcells", "4", "-ycells", "3", "-depth", "2", "-seed", "1",
 	}
-	if outs[0] != outs[1] || outs[0] != outs[2] {
-		t.Errorf("output differs across -parallel:\n%s\nvs\n%s\nvs\n%s", outs[0], outs[1], outs[2])
+)
+
+// withWorkers appends -parallel and, above one worker, -trace and -report
+// to temp files, so that leg runs with tracing and telemetry installed.
+func withWorkers(t *testing.T, args []string, workers string) []string {
+	args = append(append([]string(nil), args...), "-parallel", workers)
+	if workers == "1" {
+		return args
 	}
+	dir := t.TempDir()
+	return append(args, "-trace", filepath.Join(dir, "trace.json"), "-report", filepath.Join(dir, "report.json"))
+}
+
+// TestGolden pins the phase maps (DESIGN.md §15): the sim and hybrid maps
+// at -parallel 1 and 8, and the cell store, which must be byte-identical
+// at 1 and 8 workers and which a run resumed at 8 workers from a copy cut
+// at 2/3 of its length must restore to the exact bytes and map.
+func TestGolden(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		args []string
+	}{{"sim", simMap}, {"hybrid", hybridMap}} {
+		t.Run(m.name, func(t *testing.T) {
+			var legs [][]byte
+			for _, workers := range []string{"1", "8"} {
+				out := render(t, withWorkers(t, append(m.args, "-format", "jsonl"), workers)...)
+				legs = append(legs, []byte(golden.Digest([]byte(out))))
+			}
+			golden.Check(t, m.name+".golden", legs...)
+		})
+	}
+	t.Run("cellstore", func(t *testing.T) {
+		dir := t.TempDir()
+		// leg renders the CSV map, spilling cells to the store at path, and
+		// returns the digests of the store and the map.
+		leg := func(path, workers string) []byte {
+			csv := render(t, withWorkers(t, append(simMap, "-format", "csv", "-store", path), workers)...)
+			st, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []byte(golden.Digest(st) + golden.Digest([]byte(csv)))
+		}
+		serial := filepath.Join(dir, "serial.store")
+		legs := [][]byte{leg(serial, "1"), leg(filepath.Join(dir, "parallel.store"), "8")}
+		full, err := os.ReadFile(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := filepath.Join(dir, "torn.store")
+		if err := os.WriteFile(torn, full[:len(full)*2/3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		golden.Check(t, "cellstore.golden", append(legs, leg(torn, "8"))...)
+	})
 }
 
 func TestCacheResume(t *testing.T) {

@@ -151,13 +151,16 @@ func (c *RunConfig) normalize() error {
 // Empirical is the Monte-Carlo classification outcome.
 type Empirical struct {
 	// Grew reports whether a majority of replicas grew (hit the peer cap
-	// or ended at least half-way to it).
+	// or ended at least half-way to it); see grows for an even split.
 	Grew bool
 	// GrowFraction is the fraction of growing replicas.
 	GrowFraction float64
 	// MeanOccupancy averages the post-burn-in time-averaged population
 	// over the replicas that did not grow (NaN if all grew).
 	MeanOccupancy float64
+	// OccupancySE is MeanOccupancy's standard error across those
+	// replicas (NaN with fewer than two).
+	OccupancySE float64
 	// MeanFinalN averages the final population over all replicas.
 	MeanFinalN float64
 	// Replicas echoes the number of sample paths run.
@@ -302,13 +305,26 @@ func (s *System) classify(cfg RunConfig, backend engine.Backend) (Empirical, err
 	grew := res.Count("grew")
 	out := Empirical{
 		Replicas:      cfg.Replicas,
-		Grew:          2*grew > cfg.Replicas,
 		GrowFraction:  float64(grew) / float64(cfg.Replicas),
 		MeanFinalN:    res.Mean("final_n"),
 		MeanOccupancy: math.NaN(),
+		OccupancySE:   math.NaN(),
 	}
-	if res.Count("occupancy") > 0 {
-		out.MeanOccupancy = res.Mean("occupancy")
+	out.Grew = grows(grew, cfg.Replicas, out.MeanFinalN, cfg.PeerCap)
+	if occ := res.Summary("occupancy"); occ.N() > 0 {
+		out.MeanOccupancy = occ.Mean()
+		out.OccupancySE = occ.Std() / math.Sqrt(float64(occ.N()))
 	}
 	return out, nil
+}
+
+// grows folds grew of replicas growing replicas into the verdict: a
+// strict majority grows. An even split applies the per-replica criterion
+// to the pooled mean: the cell grows when the mean final population
+// reaches half the peer cap.
+func grows(grew, replicas int, meanFinalN float64, peerCap int) bool {
+	if 2*grew != replicas {
+		return 2*grew > replicas
+	}
+	return meanFinalN >= float64(peerCap/2)
 }

@@ -157,6 +157,33 @@ func TestAgreesBorderline(t *testing.T) {
 	}
 }
 
+// TestGrowsFold pins the majority fold: a strict majority decides, and an
+// even split grows exactly when the mean final population reaches
+// PeerCap/2 (integer division, as the per-replica criterion uses).
+func TestGrowsFold(t *testing.T) {
+	for _, c := range []struct {
+		grew, replicas int
+		meanFinalN     float64
+		peerCap        int
+		want           bool
+	}{
+		{3, 5, 0, 100, true},
+		{2, 5, 100, 100, false},
+		{3, 3, 0, 100, true},
+		{0, 3, 0, 100, false},
+		{1, 2, 50, 100, true},
+		{1, 2, 49.9, 100, false},
+		{3, 6, 60, 121, true}, // 121/2 = 60
+		{3, 6, 59.5, 121, false},
+		{2, 4, 1e6, 100, true},
+	} {
+		if got := grows(c.grew, c.replicas, c.meanFinalN, c.peerCap); got != c.want {
+			t.Errorf("grows(%d of %d, mean %v, cap %d) = %v, want %v",
+				c.grew, c.replicas, c.meanFinalN, c.peerCap, got, c.want)
+		}
+	}
+}
+
 // TestClassifyHybrid: the hybrid path rejects what tau-leaping cannot
 // represent — scenarios and non-default policies — and otherwise runs the
 // shared classification protocol to the same grows/bounded verdicts as the

@@ -1,9 +1,16 @@
 package exp
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/engine"
+	"repro/internal/golden"
 )
 
 func TestRegistry(t *testing.T) {
@@ -50,60 +57,72 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-// checkNoDisagreement runs an experiment in quick mode and fails on any
-// DISAGREE verdict cell.
-func checkNoDisagreement(t *testing.T, id string) *Table {
+// checkGolden is the per-experiment equivalence check (DESIGN.md §15): it
+// renders experiment id as "experiments -quick -seed 1 -id ID -jsonl F"
+// does, once per worker count, and compares the table plus a digest of
+// the JSONL record stream with testdata/ID.golden. The legs above one
+// worker run with telemetry and tracing installed, as -report and -trace
+// install them. It also fails on any DISAGREE cell.
+func checkGolden(t *testing.T, id string, workers ...int) {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := e.Run(Config{Quick: true, Seed: 42})
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	legs := make([][]byte, len(workers))
+	for i, w := range workers {
+		legs[i] = renderGolden(t, e, w)
 	}
-	if len(tb.Rows) == 0 {
-		t.Fatalf("%s produced no rows", id)
+	golden.Check(t, id+".golden", legs...)
+	if bytes.Contains(legs[0], []byte("DISAGREE")) {
+		t.Errorf("%s disagrees with theory:\n%s", id, legs[0])
 	}
-	for _, row := range tb.Rows {
-		for _, cell := range row {
-			if cell == "DISAGREE" {
-				t.Errorf("%s row disagrees with theory: %v", id, row)
-			}
+}
+
+func renderGolden(t *testing.T, e Experiment, workers int) []byte {
+	t.Helper()
+	if workers > 1 {
+		dir := t.TempDir()
+		tel := cli.Telemetry{ReportPath: filepath.Join(dir, "report.json"), TracePath: filepath.Join(dir, "trace.json")}
+		if err := tel.Start("experiments", io.Discard); err != nil {
+			t.Fatal(err)
 		}
+		defer func() {
+			if err := tel.Finish(); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	return tb
+	var jsonl bytes.Buffer
+	tb, err := e.Run(Config{Quick: true, Seed: 1, Workers: workers, Sink: engine.NewJSONLSink(&jsonl)})
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", e.ID, workers, err)
+	}
+	return []byte(tb.Render() + "jsonl: " + golden.Digest(jsonl.Bytes()))
 }
 
-func TestE1Quick(t *testing.T)  { checkNoDisagreement(t, "E1") }
-func TestE2Quick(t *testing.T)  { checkNoDisagreement(t, "E2") }
-func TestE3Quick(t *testing.T)  { checkNoDisagreement(t, "E3") }
-func TestE4Quick(t *testing.T)  { checkNoDisagreement(t, "E4") }
-func TestE5Quick(t *testing.T)  { checkNoDisagreement(t, "E5") }
-func TestE7Quick(t *testing.T)  { checkNoDisagreement(t, "E7") }
-func TestE8Quick(t *testing.T)  { checkNoDisagreement(t, "E8") }
-func TestE10Quick(t *testing.T) { checkNoDisagreement(t, "E10") }
-func TestE11Quick(t *testing.T) { checkNoDisagreement(t, "E11") }
-func TestE12Quick(t *testing.T) { checkNoDisagreement(t, "E12") }
-func TestE16Quick(t *testing.T) { checkNoDisagreement(t, "E16") }
+func TestE1Quick(t *testing.T)  { checkGolden(t, "E1", 1, 8) }
+func TestE2Quick(t *testing.T)  { checkGolden(t, "E2", 1, 8) }
+func TestE3Quick(t *testing.T)  { checkGolden(t, "E3", 1, 8) }
+func TestE4Quick(t *testing.T)  { checkGolden(t, "E4", 1, 8) }
+func TestE5Quick(t *testing.T)  { checkGolden(t, "E5", 1, 8) }
+func TestE6Quick(t *testing.T)  { checkGolden(t, "E6", 1, 8) }
+func TestE7Quick(t *testing.T)  { checkGolden(t, "E7", 1, 8) }
+func TestE8Quick(t *testing.T)  { checkGolden(t, "E8", 1, 8) }
+func TestE9Quick(t *testing.T)  { checkGolden(t, "E9", 1, 8) }
+func TestE11Quick(t *testing.T) { checkGolden(t, "E11", 1, 8) }
+func TestE12Quick(t *testing.T) { checkGolden(t, "E12", 1, 8) }
+func TestE13Quick(t *testing.T) { checkGolden(t, "E13", 1, 8) }
+func TestE15Quick(t *testing.T) { checkGolden(t, "E15", 1, 8) }
+func TestE16Quick(t *testing.T) { checkGolden(t, "E16", 1, 8) }
+func TestE17Quick(t *testing.T) { checkGolden(t, "E17", 1, 8) }
+func TestE18Quick(t *testing.T) { checkGolden(t, "E18", 1, 8) }
 
-func TestE6Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E6 runs 16 sweeps")
-	}
-	tb := checkNoDisagreement(t, "E6")
-	// Four cases × four policies.
-	if len(tb.Rows) != 16 {
-		t.Errorf("E6 rows = %d, want 16", len(tb.Rows))
-	}
-}
-
-func TestE9Quick(t *testing.T) {
-	tb := checkNoDisagreement(t, "E9")
-	if len(tb.Rows) != 4 {
-		t.Errorf("E9 rows = %d, want 4", len(tb.Rows))
-	}
-}
+// E10 and E14 spend about 17 s in the exact stationary solver, so they
+// render once, at 8 workers; their 1-worker leg waits for the faster
+// exact solver (ROADMAP item 3).
+func TestE10Quick(t *testing.T) { checkGolden(t, "E10", 8) }
+func TestE14Quick(t *testing.T) { checkGolden(t, "E14", 8) }
 
 func TestConfigKnobs(t *testing.T) {
 	q := Config{Quick: true}
@@ -119,45 +138,6 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-func TestE13Quick(t *testing.T) {
-	tb := checkNoDisagreement(t, "E13")
-	// Four policies plus the coded variant.
-	if len(tb.Rows) != 5 {
-		t.Errorf("E13 rows = %d, want 5", len(tb.Rows))
-	}
-}
-
-func TestE14Quick(t *testing.T) { checkNoDisagreement(t, "E14") }
-
-func TestE17Quick(t *testing.T) {
-	tb := checkNoDisagreement(t, "E17")
-	// Three Little's-law points (two rows each) plus the formation rows.
-	if len(tb.Rows) < 7 {
-		t.Errorf("E17 rows = %d, want ≥ 7", len(tb.Rows))
-	}
-}
-
-func TestE18Quick(t *testing.T) {
-	tb := checkNoDisagreement(t, "E18")
-	// Boundary, occupancy, and work-ratio checks.
-	if len(tb.Rows) != 3 {
-		t.Errorf("E18 rows = %d, want 3", len(tb.Rows))
-	}
-}
-
-func TestE15Quick(t *testing.T) {
-	tb := checkNoDisagreement(t, "E15")
-	if len(tb.Rows) != 4 {
-		t.Errorf("E15 rows = %d, want 4", len(tb.Rows))
-	}
-	// The flash-crowd row must actually surge: its peak population should
-	// dwarf the no-overlay stable baseline's.
-	base, flash := tb.Rows[0], tb.Rows[1]
-	if base[1] != "none" || flash[1] != "flash crowd" {
-		t.Fatalf("unexpected row layout: %v / %v", base[1], flash[1])
-	}
-}
-
 func TestE15Knobs(t *testing.T) {
 	tb, err := RunE15(Config{Quick: true, Seed: 1, FlashPeak: 9, Churn: 1.25})
 	if err != nil {
@@ -165,32 +145,5 @@ func TestE15Knobs(t *testing.T) {
 	}
 	if !strings.Contains(tb.Title, "×9") || !strings.Contains(tb.Title, "δ=1.25") {
 		t.Errorf("knobs not reflected in title: %s", tb.Title)
-	}
-}
-
-// TestTableDeterminismAcrossWorkers pins the engine contract at the table
-// level: for a fixed seed the rendered experiment output must be identical
-// for 1, 2, and 8 workers (also exercised under -race in CI).
-func TestTableDeterminismAcrossWorkers(t *testing.T) {
-	for _, id := range []string{"E5", "E8", "E9", "E13", "E15", "E17", "E18"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ref string
-		for _, workers := range []int{1, 2, 8} {
-			tb, err := e.Run(Config{Quick: true, Seed: 5, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
-			}
-			out := tb.Render()
-			if ref == "" {
-				ref = out
-				continue
-			}
-			if out != ref {
-				t.Errorf("%s differs at workers=%d:\n%s\nvs\n%s", id, workers, out, ref)
-			}
-		}
 	}
 }

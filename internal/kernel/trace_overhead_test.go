@@ -1,12 +1,17 @@
 package kernel
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -110,5 +115,62 @@ func TestKernelTraceBatches(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("flight file missing: %v", err)
+	}
+}
+
+// TestKernelOffPathSilent is the deterministic off-path check: a kernel
+// built while neither telemetry nor tracing is installed must not touch
+// either substrate installed afterwards. Over a run that crosses several
+// batch watermarks, halts on its tap and ends on a no-progress step, the
+// registry must see zero kernel_* counter adds and the tracer zero ring
+// writes.
+func TestKernelOffPathSilent(t *testing.T) {
+	p := &birthDeath{lambda: 5, mu: 0.001} // climbs towards n = 5000
+	k := New(rng.New(3), p)
+	reg := telemetry.New()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(nil)
+	var stream bytes.Buffer
+	tr := trace.New(trace.Config{Stream: &stream})
+	trace.SetDefault(tr)
+	defer trace.SetDefault(nil)
+
+	k.SetTap(&tapRecorder{stopAt: 3500})
+	if reason, err := k.RunUntil(math.Inf(1), 0); reason != StopObserver || err != nil {
+		t.Fatalf("RunUntil = %v, %v; want a tap halt", reason, err)
+	}
+	if k.Events() < 3*eventBatch {
+		t.Fatalf("run covered %d events, want several batches", k.Events())
+	}
+	p.lambda, p.mu = 0, 0
+	if err := k.Step(); !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("err = %v, want ErrNoProgress", err)
+	}
+	k.FlushMetrics()
+
+	for _, name := range []string{telemetry.KernelEvents, telemetry.KernelHalts, telemetry.KernelNoProgress} {
+		if v := reg.CounterValue(name); v != 0 {
+			t.Errorf("%s = %d with telemetry off at New", name, v)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(stream.Bytes(), &doc); err != nil {
+		t.Fatalf("trace not valid JSON: %v", err)
+	}
+	writes := 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "M" { // thread-name metadata is the tracer's own
+			writes++
+		}
+	}
+	if writes != 0 {
+		t.Errorf("%d ring writes with tracing off at New", writes)
 	}
 }

@@ -37,7 +37,7 @@ func FuzzReader(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, recover := range []bool{false, true} {
-			r, err := NewReaderOptions(bytes.NewReader(data), int64(len(data)), ReaderOptions{Recover: recover})
+			r, err := openBytes(data, recover)
 			typedOrNil(t, fmt.Sprintf("open(recover=%v)", recover), err)
 			if err != nil {
 				continue

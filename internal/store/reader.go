@@ -10,28 +10,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ReaderOptions tunes a Reader. The zero value is usable.
-type ReaderOptions struct {
-	// CacheBlocks bounds the decoded-block LRU cache (default
-	// defaultCacheBlocks). The reader never holds more than this many
-	// decoded blocks, so memory stays bounded however large the file is.
-	CacheBlocks int
-	// Recover, when set, salvages a file without (or with an invalid)
-	// footer by scanning blocks from the header: every block whose CRC
-	// validates is kept, and the scan stops at the first torn byte.
-	// Without Recover, such files fail to open with a typed error.
-	Recover bool
-}
-
-func (o ReaderOptions) cacheBlocks() int {
-	if o.CacheBlocks <= 0 {
-		return defaultCacheBlocks
-	}
-	return o.CacheBlocks
-}
-
-// Reader reads a store: O(1) typed access to any row through a bounded
-// LRU cache of decoded blocks. A Reader is not safe for concurrent use.
+// Reader reads a store: O(1) typed access to any row through an LRU
+// cache of at most defaultCacheBlocks decoded blocks, so memory stays
+// bounded however large the file is. A Reader is not safe for concurrent
+// use.
 type Reader struct {
 	ra     io.ReaderAt
 	f      *os.File // non-nil when Open/Recover owns the file
@@ -54,14 +36,14 @@ type Reader struct {
 
 // Open opens a store file strictly: the header, footer manifest, and
 // block index must all validate. Close releases the file.
-func Open(path string) (*Reader, error) { return openFile(path, ReaderOptions{}) }
+func Open(path string) (*Reader, error) { return openFile(path, false) }
 
 // Recover opens a store file in salvage mode: a missing or corrupt footer
 // falls back to a block scan that keeps every fully committed block.
 // Close releases the file.
-func Recover(path string) (*Reader, error) { return openFile(path, ReaderOptions{Recover: true}) }
+func Recover(path string) (*Reader, error) { return openFile(path, true) }
 
-func openFile(path string, opt ReaderOptions) (*Reader, error) {
+func openFile(path string, salvage bool) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -71,7 +53,7 @@ func openFile(path string, opt ReaderOptions) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	r, err := NewReaderOptions(f, st.Size(), opt)
+	r, err := newReader(f, st.Size(), salvage)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -83,17 +65,19 @@ func openFile(path string, opt ReaderOptions) (*Reader, error) {
 // NewReader opens a store over any io.ReaderAt strictly (footer
 // required).
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
-	return NewReaderOptions(ra, size, ReaderOptions{})
+	return newReader(ra, size, false)
 }
 
 // NewRecoveringReader opens a store over any io.ReaderAt in salvage mode.
 func NewRecoveringReader(ra io.ReaderAt, size int64) (*Reader, error) {
-	return NewReaderOptions(ra, size, ReaderOptions{Recover: true})
+	return newReader(ra, size, true)
 }
 
-// NewReaderOptions opens a store over any io.ReaderAt with explicit
-// options.
-func NewReaderOptions(ra io.ReaderAt, size int64, opt ReaderOptions) (*Reader, error) {
+// newReader opens a store over ra. With salvage set, a file without (or
+// with an invalid) footer is recovered by scanning blocks from the header:
+// every block whose CRC validates is kept, and the scan stops at the first
+// torn byte. Without it, such files fail to open with a typed error.
+func newReader(ra io.ReaderAt, size int64, salvage bool) (*Reader, error) {
 	r := &Reader{ra: ra, size: size}
 	if reg := telemetry.Default(); reg != nil {
 		r.pagesR = reg.Counter(telemetry.StorePagesRead)
@@ -105,7 +89,7 @@ func NewReaderOptions(ra io.ReaderAt, size int64, opt ReaderOptions) (*Reader, e
 		return nil, err
 	}
 	if ferr := r.readFooter(headerEnd); ferr != nil {
-		if !opt.Recover {
+		if !salvage {
 			return nil, ferr
 		}
 		if err := r.scanBlocks(headerEnd); err != nil {
@@ -120,7 +104,7 @@ func NewReaderOptions(ra io.ReaderAt, size int64, opt ReaderOptions) (*Reader, e
 		r.cumRows[i+1] = r.cumRows[i] + int64(b.Rows)
 	}
 	r.rows = r.cumRows[len(r.blocks)]
-	r.cache = newBlockCache(opt.cacheBlocks())
+	r.cache = newBlockCache(defaultCacheBlocks)
 	return r, nil
 }
 

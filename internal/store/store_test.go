@@ -109,7 +109,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	for _, strict := range []bool{true, false} {
-		r, err := NewReaderOptions(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ReaderOptions{Recover: !strict})
+		r, err := openBytes(buf.Bytes(), !strict)
 		if err != nil {
 			t.Fatalf("open (strict=%v): %v", strict, err)
 		}
@@ -306,15 +306,23 @@ func TestVersionBump(t *testing.T) {
 	crc := checksum(b[:hdrEnd])
 	copy(b[hdrEnd:hdrEnd+4], appendU32(nil, crc))
 	for _, recover := range []bool{false, true} {
-		_, err := NewReaderOptions(bytes.NewReader(b), int64(len(b)), ReaderOptions{Recover: recover})
+		_, err := openBytes(b, recover)
 		if !errors.Is(err, ErrVersion) {
 			t.Errorf("future major (recover=%v): err = %v, want ErrVersion", recover, err)
 		}
 	}
 }
 
+// openBytes opens data strictly or, with salvage, recovering.
+func openBytes(data []byte, salvage bool) (*Reader, error) {
+	if salvage {
+		return NewRecoveringReader(bytes.NewReader(data), int64(len(data)))
+	}
+	return NewReader(bytes.NewReader(data), int64(len(data)))
+}
+
 // TestBoundedMemory pins the no-whole-file-slurp contract: scanning a
-// many-block store through a capped cache keeps at most CacheBlocks
+// store of far more blocks than defaultCacheBlocks keeps at most that many
 // decoded blocks resident, while random access still hits the cache.
 func TestBoundedMemory(t *testing.T) {
 	rows := randomRows(rng.New(13), 4000)
@@ -324,7 +332,7 @@ func TestBoundedMemory(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReaderOptions(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ReaderOptions{CacheBlocks: 4})
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +340,8 @@ func TestBoundedMemory(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 250", r.NumBlocks())
 	}
 	checkRows(t, r, rows)
-	if got := r.cache.len(); got > 4 {
-		t.Errorf("cache holds %d blocks after full scan, cap 4", got)
+	if got := r.cache.len(); got > defaultCacheBlocks {
+		t.Errorf("cache holds %d blocks after full scan, cap %d", got, defaultCacheBlocks)
 	}
 	// Re-reading rows within the resident window must not grow the cache.
 	for i := int64(0); i < 16; i++ {
@@ -341,8 +349,8 @@ func TestBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.cache.len(); got > 4 {
-		t.Errorf("cache holds %d blocks after tail re-reads, cap 4", got)
+	if got := r.cache.len(); got > defaultCacheBlocks {
+		t.Errorf("cache holds %d blocks after tail re-reads, cap %d", got, defaultCacheBlocks)
 	}
 }
 
