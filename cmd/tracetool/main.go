@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -81,14 +82,27 @@ type traceDoc struct {
 	Events    []event           `json:"traceEvents"`
 }
 
+// errBadTrace reports input that does not decode as a trace document.
+var errBadTrace = errors.New("tracetool: malformed trace")
+
 func load(path string) (*traceDoc, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	doc, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, nil
+}
+
+// parse decodes a trace document, wrapping any decoding failure in
+// errBadTrace.
+func parse(data []byte) (*traceDoc, error) {
 	var doc traceDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%w: %w", errBadTrace, err)
 	}
 	return &doc, nil
 }

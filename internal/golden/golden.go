@@ -37,7 +37,7 @@ func Check(t testing.TB, name string, legs ...[]byte) {
 		}
 	}
 	path := filepath.Join("testdata", name)
-	if why := unpinned(); why != "" {
+	if why := Unpinned(); why != "" {
 		if *update {
 			t.Fatalf("golden: not rewriting %s: %s", path, why)
 		}
@@ -92,9 +92,11 @@ func firstDiff(a, b []byte) string {
 // reproducible only on amd64 with this probe value.
 const expProbe = "sha256:de84fe9474cf0d2ab6859c52cbeb7baee66d2931a1370de69d4d5b88e04cdfbf 320000 bytes\n"
 
-// unpinned says why this platform may not reproduce the recorded bytes
-// ("" when it does).
-func unpinned() string {
+// Unpinned says why this platform may not reproduce the recorded bytes
+// ("" when it does). Tests outside this package use it to hold
+// floating-point results to the recording host's exact values only where
+// that host's arithmetic applies.
+func Unpinned() string {
 	if runtime.GOARCH != "amd64" {
 		return "goldens are recorded on amd64; " + runtime.GOARCH + " fuses multiply-adds"
 	}

@@ -10,7 +10,10 @@
 //
 // Determinism contract: a kernel step consumes exactly one Exp variate and
 // one Float64 variate from the stream before handing control to
-// Process.Fire, which may consume more; every draw is a pure function of
+// Process.Fire, which may consume more. Exp is a ziggurat sampler: one
+// 64-bit word on its fast path, more on its rare wedge and tail paths, so a
+// step's word count is a function of the stream, not a constant (pinned by
+// TestKernelStepDrawCount over every path). Every draw is a pure function of
 // the stream, so two kernels over identical processes and identically
 // seeded streams replay bit-for-bit. The parallel Monte-Carlo engine
 // (internal/engine) relies on this to keep replicated tables byte-identical

@@ -262,6 +262,17 @@ func BenchmarkPoisson(b *testing.B) {
 	}
 }
 
+var expSink float64
+
+// BenchmarkExp times one Exp draw per op: the ziggurat's one-word fast
+// path in about 97.8% of draws, the wedge and tail in the rest.
+func BenchmarkExp(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		expSink += r.Exp(2.5)
+	}
+}
+
 // TestPoissonGolden pins the sampler's realizations: from seed 2026, the
 // first 1000 draws at means 30, 1e3, 1e6, 12.5 and 20 must equal the
 // recorded ones in testdata/poisson_golden.txt, one line per mean ("MEAN
