@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -46,72 +45,23 @@ func (k *Kernel) stepBaseline() error {
 	return nil
 }
 
-// Timing-gate shape: each arm takes overheadIters steps per round, timed in
-// chunks of overheadChunk steps.
-const (
-	overheadIters  = 400_000
-	overheadRounds = 9
-	overheadChunk  = 4_000
-)
-
-// timePaired times two step arms over overheadRounds rounds. Each round mk
-// builds a fresh, identically seeded pair, and the arms advance in lockstep
-// chunks of overheadChunk steps, the order alternating chunk by chunk, so
-// each chunk of a is timed next to the same chunk of b. It returns b's time
-// for overheadIters steps — for each chunk the minimum over rounds (every
-// round replays the same chunk sequence), summed — and a's time as that sum
-// scaled by the median over all chunk pairs of a's chunk time over b's. The
-// pairing cancels load that drifts on a scale longer than a chunk, and the
-// median and minima discard the chunks a preemption spoils, so the estimate
-// holds on a busy host where whole-round minima do not.
-func timePaired(mk func() (a, b func() error)) (timeA, timeB time.Duration) {
-	const chunks = overheadIters / overheadChunk
-	minB := make([]time.Duration, chunks)
-	for c := range minB {
-		minB[c] = 1 << 62
-	}
-	ratios := make([]float64, 0, overheadRounds*chunks)
-	run := func(step func() error) time.Duration {
-		start := time.Now()
-		for i := 0; i < overheadChunk; i++ {
-			if err := step(); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start)
-	}
-	for r := 0; r < overheadRounds; r++ {
-		a, b := mk()
-		for c := 0; c < chunks; c++ {
-			var da, db time.Duration
-			if (r+c)%2 == 0 {
-				da = run(a)
-				db = run(b)
-			} else {
-				db = run(b)
-				da = run(a)
-			}
-			minB[c] = min(minB[c], db)
-			ratios = append(ratios, float64(da)/float64(db))
+// timeSteps measures the wall time of iters kernel steps via step.
+func timeSteps(b *birthDeath, k *Kernel, iters int, step func() error) time.Duration {
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := step(); err != nil {
+			panic(err)
 		}
 	}
-	for _, d := range minB {
-		timeB += d
-	}
-	sort.Float64s(ratios)
-	n := len(ratios)
-	median := (ratios[(n-1)/2] + ratios[n/2]) / 2
-	return time.Duration(median * float64(timeB)), timeB
+	return time.Since(start)
 }
 
 // TestTapOffOverhead enforces the observer-off acceptance bound: with no
 // tap attached, Kernel.Step must stay within 2% of the pre-tap event loop
-// (stepBaseline). Both loops run interleaved in lockstep chunks over several
-// rounds; the baseline is the sum of per-chunk minima and Step's time is
-// that scaled by the median paired chunk ratio (timePaired) — minima and
-// medians are robust to scheduling noise; a small absolute slack absorbs
-// timer granularity. Skipped in -short mode and under the race detector, whose
-// instrumentation swamps the nanosecond scale;
+// (stepBaseline). Both loops run interleaved several times and the minima
+// are compared — minima are robust to scheduling noise; a small absolute
+// slack absorbs timer granularity. Skipped in -short mode and under the
+// race detector, whose instrumentation swamps the nanosecond scale;
 // BenchmarkKernelStep* in internal/obs record the same pair in CI's
 // BENCH.json artifact.
 func TestTapOffOverhead(t *testing.T) {
@@ -121,16 +71,30 @@ func TestTapOffOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate skipped under the race detector")
 	}
-	minStep, minBase := timePaired(func() (a, b func() error) {
-		k := New(rng.New(1), &birthDeath{lambda: 2, mu: 1, n: 100})
-		base := New(rng.New(1), &birthDeath{lambda: 2, mu: 1, n: 100})
-		return k.Step, base.stepBaseline
-	})
+	const (
+		iters  = 400_000
+		rounds = 9
+	)
+	mkKernel := func() (*birthDeath, *Kernel) {
+		p := &birthDeath{lambda: 2, mu: 1, n: 100}
+		return p, New(rng.New(1), p)
+	}
+	minStep, minBase := time.Duration(1<<62), time.Duration(1<<62)
+	for r := 0; r < rounds; r++ {
+		p, k := mkKernel()
+		if d := timeSteps(p, k, iters, k.Step); d < minStep {
+			minStep = d
+		}
+		p, k = mkKernel()
+		if d := timeSteps(p, k, iters, k.stepBaseline); d < minBase {
+			minBase = d
+		}
+	}
 	// 2% relative bound plus 2ms absolute slack (~5ns/op at these iters)
 	// for timer granularity on quiet runs.
 	limit := minBase + minBase/50 + 2*time.Millisecond
-	t.Logf("step (nil tap): %v, baseline: %v over %d iters (paired chunks, %d rounds)",
-		minStep, minBase, overheadIters, overheadRounds)
+	t.Logf("step (nil tap): %v, baseline: %v over %d iters (min of %d rounds)",
+		minStep, minBase, iters, rounds)
 	if minStep > limit {
 		t.Errorf("observer-off Step overhead too high: %v vs baseline %v (limit %v)",
 			minStep, minBase, limit)
