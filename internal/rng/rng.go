@@ -108,43 +108,32 @@ const (
 
 // Exp returns an exponential variate with the given rate (mean 1/rate): a
 // unit exponential from a 256-layer ziggurat, divided by rate. One 64-bit
-// word drives a draw. Its low 8 bits pick the layer i and its top 53 bits
-// an abscissa j, so x = j·expW[i] keeps full double precision; when j is
-// below expK[i], x lies under the density for sure and is the variate.
-// That fast path takes one word and no logarithm in about 97.8% of
-// draws; the rest go to expSlow. It panics if rate <= 0; the simulators
-// only schedule clocks with positive aggregate rate.
+// word drives an attempt. Its low 8 bits pick the layer i and its top 53
+// bits an abscissa j, so x = j·expW[i] keeps full double precision; when
+// j is below expK[i], x lies under the density for sure and is the
+// variate. That fast path takes one word and no logarithm in about 97.8%
+// of draws. Otherwise layer 0 missed into the tail, which is expR plus a
+// fresh unit exponential, −log(1−U); any other layer missed into the
+// wedge between the rectangle and the density, where a uniform height U
+// accepts x when it falls under e^{−x}. A rejected wedge draws a new word
+// and starts over. It panics if rate <= 0; the simulators only schedule
+// clocks with positive aggregate rate.
 func (r *RNG) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: Exp with non-positive rate")
 	}
-	u := r.Uint64()
-	i := u & 0xff
-	if j := u >> 11; j < expK[i] {
-		return float64(j) * expW[i] / rate
-	}
-	return r.expSlow(u) / rate
-}
-
-// expSlow finishes an Exp draw whose first word u missed its layer's
-// rectangle. Layer 0 missed into the tail, which is expR plus a fresh unit
-// exponential, −log(1−U). Any other layer missed into the wedge between
-// the rectangle and the density: a uniform height U accepts x when it
-// falls under e^{−x}. A rejected wedge draws a new word and starts over.
-// It is a separate function so that Exp stays small and fast.
-func (r *RNG) expSlow(u uint64) float64 {
 	for {
+		u := r.Uint64()
 		i, j := u&0xff, u>>11
 		x := float64(j) * expW[i]
 		switch {
 		case j < expK[i]:
-			return x
+			return x / rate
 		case i == 0:
-			return expR - math.Log(1-r.Float64())
+			return (expR - math.Log(1-r.Float64())) / rate
 		case expF[i]+r.Float64()*(expF[i-1]-expF[i]) < math.Exp(-x):
-			return x
+			return x / rate
 		}
-		u = r.Uint64()
 	}
 }
 
