@@ -118,11 +118,8 @@ func TestE16Quick(t *testing.T) { checkGolden(t, "E16", 1, 8) }
 func TestE17Quick(t *testing.T) { checkGolden(t, "E17", 1, 8) }
 func TestE18Quick(t *testing.T) { checkGolden(t, "E18", 1, 8) }
 
-// E10 and E14 spend about 17 s in the exact stationary solver, so they
-// render once, at 8 workers; their 1-worker leg waits for the faster
-// exact solver (ROADMAP item 3).
-func TestE10Quick(t *testing.T) { checkGolden(t, "E10", 8) }
-func TestE14Quick(t *testing.T) { checkGolden(t, "E14", 8) }
+func TestE10Quick(t *testing.T) { checkGolden(t, "E10", 1, 8) }
+func TestE14Quick(t *testing.T) { checkGolden(t, "E14", 1, 8) }
 
 func TestConfigKnobs(t *testing.T) {
 	q := Config{Quick: true}

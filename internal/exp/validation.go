@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/lyapunov"
 	"repro/internal/model"
@@ -23,7 +24,7 @@ func RunE10(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "Simulator vs exact stationary E[N]",
-		Headers: []string{"scenario", "exact E[N]", "simulated E[N]", "rel. error", "verdict"},
+		Headers: []string{"scenario", "exact E[N]", "simulated E[N] ± SE", "rel. error", "verdict"},
 	}
 	// Near-threshold occupancy mixes slowly, so even the quick horizon is
 	// generous.
@@ -76,11 +77,11 @@ func RunE10(cfg Config) (*Table, error) {
 			if _, err := sw.RunUntil(horizon/20, 0); err != nil {
 				return nil, err
 			}
-			sw.ResetOccupancy()
-			if _, err := sw.RunUntil(horizon, 0); err != nil {
+			mean, se, err := batchedMeanPeers(sw, horizon)
+			if err != nil {
 				return nil, err
 			}
-			return engine.Sample{"exact_en": exact.MeanN, "sim_en": sw.MeanPeers()}, nil
+			return engine.Sample{"exact_en": exact.MeanN, "sim_en": mean, "sim_se": se}, nil
 		},
 	}, len(cases), 0))
 	if err != nil {
@@ -89,8 +90,9 @@ func RunE10(cfg Config) (*Table, error) {
 	for i, cse := range cases {
 		s := res.Sample(i)
 		relErr := math.Abs(s["sim_en"]-s["exact_en"]) / s["exact_en"]
-		t.AddRow(cse.label, fmtF(s["exact_en"]), fmtF(s["sim_en"]),
-			fmt.Sprintf("%.1f%%", 100*relErr), markAgreement(relErr < 0.15))
+		t.AddRow(cse.label, fmtF(s["exact_en"]), fmtF(s["sim_en"])+" ± "+fmtF(s["sim_se"]),
+			fmt.Sprintf("%.1f%%", 100*relErr),
+			markAgreement(math.Abs(s["sim_en"]-s["exact_en"]) <= occT*s["sim_se"]))
 	}
 
 	// Third implementation cross-check: the peer-granular simulator's mean
@@ -129,8 +131,45 @@ func RunE10(cfg Config) (*Table, error) {
 		fmtF(wantT), fmtF(gotT),
 		fmt.Sprintf("%.1f%%", 100*relErrT), markAgreement(relErrT < 0.15))
 	t.AddNote("exact values from uniformized power iteration on the truncated generator (boundary mass < 1e-5)")
-	t.AddNote("last row: per-peer simulator sojourn mean vs Little's law on the exact E[N]")
+	t.AddNote("SE: batch means over %d slices of one path; agree within %g·SE (two-sided 0.1%% false-failure rate per row)", occBatches, occT)
+	t.AddNote("last row: per-peer simulator sojourn mean vs Little's law on the exact E[N], within 15%% (an SE over %d replicas would rest on %d degrees of freedom)", resL.Count("mean_t"), resL.Count("mean_t")-1)
 	return t, nil
+}
+
+// The simulated-occupancy verdicts of E10 and E14 compare one sample path
+// with the exact E[N] in batch-means standard errors.
+const (
+	// occBatches is the number of equal time slices of the path.
+	occBatches = 10
+	// occT is the two-sided 0.1% Student-t quantile at occBatches−1 = 9
+	// degrees of freedom: each row reads DISAGREE on correct code with
+	// probability 0.1%, so a table of a few such rows stays quiet across
+	// seeds.
+	occT = 4.781
+)
+
+// batchedMeanPeers restarts sw's occupancy estimator, advances sw to
+// horizon in occBatches equal slices, and returns the time-average
+// population over the whole span (sw.MeanPeers(), as one uninterrupted
+// run gives: the slices leave the event sequence unchanged) with its
+// batch-means standard error, the spread of the slices' own time averages
+// over √occBatches. That error is honest when each slice is much longer
+// than the chain's relaxation time.
+func batchedMeanPeers(sw *sim.Swarm, horizon float64) (mean, se float64, err error) {
+	sw.ResetOccupancy()
+	t0 := sw.Now()
+	prevT, prevArea := t0, 0.0
+	var slices dist.Summary
+	for b := 1; b <= occBatches; b++ {
+		if _, err := sw.RunUntil(t0+(horizon-t0)*float64(b)/occBatches, 0); err != nil {
+			return 0, 0, err
+		}
+		now := sw.Now()
+		area := sw.MeanPeers() * (now - t0)
+		slices.Add((area - prevArea) / (now - prevT))
+		prevT, prevArea = now, area
+	}
+	return sw.MeanPeers(), slices.Std() / math.Sqrt(occBatches), nil
 }
 
 // RunE11 verifies the Foster–Lyapunov inequality of Section VII numerically:

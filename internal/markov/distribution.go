@@ -56,8 +56,8 @@ func (c *Chain) StationarityResidual(res *StationaryResult) (float64, error) {
 			continue
 		}
 		flow[i] -= mass * c.outRate[i]
-		for _, e := range c.outs[i] {
-			flow[e.to] += mass * e.rate
+		for k := c.start[i]; k < c.start[i+1]; k++ {
+			flow[c.to[k]] += mass * c.rate[k]
 		}
 	}
 	var sup float64

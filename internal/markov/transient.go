@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -27,19 +28,12 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 	if tail <= 0 {
 		tail = 1e-12
 	}
-	start, ok := c.index[x0.Key()]
-	if !ok {
+	start := slices.IndexFunc(c.states, func(x model.State) bool { return slices.Equal(x, x0) })
+	if start < 0 {
 		return nil, fmt.Errorf("%w: %v", ErrBadInitial, x0)
 	}
 	n := len(c.states)
-	var uni float64
-	for _, r := range c.outRate {
-		if r > uni {
-			uni = r
-		}
-	}
-	uni *= 1.05
-	if uni == 0 || t == 0 {
+	if c.uni == 0 || t == 0 {
 		out := make([]float64, n)
 		out[start] = 1
 		return out, nil
@@ -51,7 +45,7 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 	next := make([]float64, n)
 
 	// Poisson(Λt) weights accumulated iteratively to avoid overflow.
-	lt := uni * t
+	lt := c.uni * t
 	logWeight := -lt // log of e^{−Λt}·(Λt)^0/0!
 	remaining := 1.0
 	for k := 0; ; k++ {
@@ -66,19 +60,7 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 		if k > int(lt)+200+int(20*math.Sqrt(lt)) {
 			break // safety bound: Poisson mass beyond this is negligible
 		}
-		// cur ← cur·P  (P = I + Q/Λ).
-		for i := range next {
-			next[i] = 0
-		}
-		for i, mass := range cur {
-			if mass == 0 {
-				continue
-			}
-			next[i] += mass * (1 - c.outRate[i]/uni)
-			for _, e := range c.outs[i] {
-				next[e.to] += mass * e.rate / uni
-			}
-		}
+		c.applyP(next, cur) // next ← cur·P
 		cur, next = next, cur
 		logWeight += math.Log(lt) - math.Log(float64(k+1))
 	}

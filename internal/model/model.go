@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/pieceset"
@@ -205,16 +206,21 @@ func (s State) N() int {
 // Count returns x_C.
 func (s State) Count(c pieceset.Set) int { return s[int(c)] }
 
-// Key returns a canonical string encoding for use as a map key in solvers.
+// Key returns a canonical string encoding for use as a map key in solvers:
+// "i:x_i;" for every nonzero entry in index order.
 func (s State) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, x := range s {
 		if x == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%d:%d;", i, x)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(x), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // checkState validates state dimensions against K.

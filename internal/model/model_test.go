@@ -2,7 +2,10 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +146,41 @@ func TestStateBasics(t *testing.T) {
 	}
 	if s.Key() == c.Key() {
 		t.Error("distinct states share a key")
+	}
+}
+
+// TestStateKeyFormat pins Key to its fmt-built form "i:x_i;" (nonzero
+// entries in index order) on the zero state and on random states with
+// K ≤ 3: the exact solver's state index and perfbench's residual check
+// both key on these bytes.
+func TestStateKeyFormat(t *testing.T) {
+	fmtKey := func(s State) string {
+		var b strings.Builder
+		for i, x := range s {
+			if x != 0 {
+				fmt.Fprintf(&b, "%d:%d;", i, x)
+			}
+		}
+		return b.String()
+	}
+	if got := NewState(2).Key(); got != "" {
+		t.Errorf("zero state key = %q, want empty", got)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		s := NewState(1 + r.IntN(3))
+		for i := range s {
+			switch r.IntN(3) {
+			case 0: // stays zero
+			case 1:
+				s[i] = r.IntN(20)
+			default:
+				s[i] = r.IntN(1 << 30)
+			}
+		}
+		if got, want := s.Key(), fmtKey(s); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", s, got, want)
+		}
 	}
 }
 
