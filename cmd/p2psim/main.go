@@ -1,7 +1,7 @@
 // Command p2psim runs replicated sample paths of the P2P swarm CTMC
 // through the parallel Monte-Carlo engine and the streaming observation
 // pipeline: a decimated trace of the population / peer seeds / one-club /
-// missing-piece trajectory (-traj, on by default), streaming P²
+// missing-piece trajectory (-traj, on by default), exact event-sampled
 // population quantiles (-quantiles), per-replica structured records as
 // JSONL (-jsonl) and/or the columnar result store (-store, query with
 // cmd/results), and summary statistics alongside the Theorem 1 verdict
@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 1, "number of independent replicas")
 		parallel  = fs.Int("parallel", engine.DefaultWorkers(), "engine worker pool size (1 = serial; output is identical either way)")
 		traj      = fs.Bool("traj", true, "attach trajectory observers and print the decimated trajectory table")
-		quantiles = fs.Bool("quantiles", false, "stream P² population quantiles and print them")
+		quantiles = fs.Bool("quantiles", false, "record exact event-sampled population quantiles and print them")
 		csvOut    = fs.Bool("csv", false, "emit the trace as CSV instead of a table")
 		verbose   = fs.Bool("v", false, "print a throttled replica-progress heartbeat to stderr")
 		records   cli.Records
@@ -254,7 +254,7 @@ func writeSummary(out io.Writer, sys *core.System, res *engine.Result, replicas 
 }
 
 func writeQuantiles(out io.Writer, res *engine.Result) {
-	fmt.Fprintf(out, "population quantiles (P², event-sampled, mean over replicas):")
+	fmt.Fprintf(out, "population quantiles (exact, event-sampled, mean over replicas):")
 	for _, p := range quantileTargets {
 		key := fmt.Sprintf("n.p%g", 100*p)
 		fmt.Fprintf(out, "  p%g=%.3g", 100*p, res.Mean(key))

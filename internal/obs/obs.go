@@ -13,7 +13,8 @@
 //   - Sojourn — a tag-based arrival→departure tracker with a Welford
 //     duration summary, P² quantiles, and its own occupancy integral, so
 //     Little's law L = λW can be cross-checked from one object.
-//   - Quantiles — P² streaming quantiles of a probed scalar.
+//   - Quantiles — exact event-sampled quantiles of a probed count, kept
+//     as a histogram of the values seen.
 //
 // A Set composes observers and implements kernel.Tap (and kernel.Halter);
 // observers consume no randomness, so attaching a pipeline never changes

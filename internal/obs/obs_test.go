@@ -3,8 +3,10 @@ package obs
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/rng"
 )
 
@@ -270,27 +272,97 @@ func TestSojournTagMisuse(t *testing.T) {
 	}
 }
 
+// TestQuantilesObserver checks the histogram observer against
+// dist.ExactQuantile of the recorded event-sampled stream, with ==: a
+// reflected integer walk read at n = 1 to 4 and then every 997 events,
+// with a jump midway that grows the histogram well past its range.
 func TestQuantilesObserver(t *testing.T) {
+	ps := []float64{0.1, 0.5, 0.9}
 	v := 0.0
-	q := NewQuantiles("n", func() float64 { return v }, 0.5, 0.9)
-	r := rng.New(5)
-	for i := 0; i < 20000; i++ {
-		v = r.Float64()
-		q.OnEvent(float64(i), 0, 0)
-	}
-	if p50 := q.Value(0); math.Abs(p50-0.5) > 0.02 {
-		t.Errorf("p50 = %v", p50)
-	}
-	if p90 := q.Value(1); math.Abs(p90-0.9) > 0.02 {
-		t.Errorf("p90 = %v", p90)
-	}
+	q := NewQuantiles("n", func() float64 { return v }, ps...)
 	var snap Snapshot
 	q.EmitTo(&snap)
-	if _, ok := snap.Values["n.p50"]; !ok {
-		t.Errorf("missing n.p50 in %v", snap.Values)
+	if q.N() != 0 || !math.IsNaN(q.Value(0)) || len(snap.Values) != 0 {
+		t.Fatalf("empty observer: N=%d Value=%v emitted %v", q.N(), q.Value(0), snap.Values)
 	}
-	if _, ok := snap.Values["n.p90"]; !ok {
-		t.Errorf("missing n.p90 in %v", snap.Values)
+	check := func(samples []float64) {
+		t.Helper()
+		if q.N() != len(samples) {
+			t.Fatalf("N = %d, want %d", q.N(), len(samples))
+		}
+		for i, p := range ps {
+			want := dist.ExactQuantile(append([]float64(nil), samples...), p)
+			if got := q.Value(i); got != want {
+				t.Fatalf("n=%d p=%v: got %v, want %v", len(samples), p, got, want)
+			}
+		}
+	}
+	r := rng.New(5)
+	var samples []float64
+	v = 3
+	for n := 1; n <= 20000; n++ {
+		switch {
+		case n == 10000:
+			v += 400 // grow the histogram far past the values seen so far
+		case r.Float64() < 0.5:
+			v++
+		case v > 0:
+			v--
+		}
+		q.OnEvent(float64(n), 0, v)
+		samples = append(samples, v)
+		if n <= 4 || n%997 == 0 || n == 10000 {
+			check(samples)
+		}
+	}
+	check(samples)
+	q.EmitTo(&snap)
+	for i, key := range []string{"n.p10", "n.p50", "n.p90"} {
+		if got, ok := snap.Values[key]; !ok || got != q.Value(i) {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, q.Value(i))
+		}
+	}
+}
+
+func TestQuantilesConstantRun(t *testing.T) {
+	q := NewQuantiles("n", func() float64 { return 7 }, 0.1, 0.5, 0.9)
+	for i := 0; i < 50; i++ {
+		q.OnEvent(float64(i), 0, 7)
+	}
+	for i := 0; i < 3; i++ {
+		if got := q.Value(i); got != 7 {
+			t.Errorf("quantile %d of a constant run = %v, want 7", i, got)
+		}
+	}
+}
+
+func TestQuantilesRejectNonCounts(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 2.5, math.MaxInt32 + 1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `quantiles "pop"`) {
+					t.Errorf("probe value %v: panic %q does not name the observer", bad, msg)
+				}
+			}()
+			NewQuantiles("pop", func() float64 { return bad }, 0.5).OnEvent(0, 0, 0)
+		}()
+	}
+}
+
+func TestQuantilesOnEventAllocs(t *testing.T) {
+	v := 0.0
+	q := NewQuantiles("n", func() float64 { return v }, 0.5, 0.9)
+	for v = 0; v <= 100; v++ {
+		q.OnEvent(0, 0, 0)
+	}
+	v = 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		v = float64((int(v) + 37) % 101)
+		q.OnEvent(0, 0, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("OnEvent allocates %v per call within the covered range", allocs)
 	}
 }
 
