@@ -4,22 +4,24 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(1, 1, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := NewFromRNG(1, 1, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("K=1 accepted")
 	}
-	if _, err := New(3, 0, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := NewFromRNG(3, 0, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("λ=0 accepted")
 	}
-	if _, err := New(3, 1, 1); err != nil {
+	if _, err := NewFromRNG(3, 1, rng.New(1)); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}
 }
 
 func TestSetState(t *testing.T) {
-	c, _ := New(3, 1, 1)
+	c, _ := NewFromRNG(3, 1, rng.New(1))
 	if err := c.SetState(5, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestSetState(t *testing.T) {
 }
 
 func TestFirstArrival(t *testing.T) {
-	c, _ := New(4, 2, 7)
+	c, _ := NewFromRNG(4, 2, rng.New(7))
 	c.Step()
 	if n, j := c.State(); n != 1 || j != 1 {
 		t.Errorf("after first arrival: (%d,%d), want (1,1)", n, j)
@@ -48,7 +50,7 @@ func TestFirstArrival(t *testing.T) {
 // the zero-drift (null recurrence) argument.
 func TestEmpiricalMeanZ(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 8} {
-		got, err := EmpiricalMeanZ(k, 200000, uint64(k))
+		got, err := SampleMeanZ(k, 200000, rng.New(uint64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +59,10 @@ func TestEmpiricalMeanZ(t *testing.T) {
 			t.Errorf("K=%d: E[Z] = %v, want %v", k, got, want)
 		}
 	}
-	if _, err := EmpiricalMeanZ(1, 10, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := SampleMeanZ(1, 10, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("K=1 accepted")
 	}
-	if _, err := EmpiricalMeanZ(3, 0, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := SampleMeanZ(3, 0, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("zero trials accepted")
 	}
 }
@@ -69,7 +71,7 @@ func TestEmpiricalMeanZ(t *testing.T) {
 // change in N per transition is ≈ 0 (the walk is driftless).
 func TestTopLayerZeroDrift(t *testing.T) {
 	const k, start = 3, 100000
-	c, err := New(k, 1, 42)
+	c, err := NewFromRNG(k, 1, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestTopLayerZeroDrift(t *testing.T) {
 }
 
 func TestInvariants(t *testing.T) {
-	c, err := New(4, 1.5, 9)
+	c, err := NewFromRNG(4, 1.5, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestInvariants(t *testing.T) {
 // should also average close to K−1 when the club stays large.
 func TestMeanZWithinChain(t *testing.T) {
 	const k = 3
-	c, err := New(k, 1, 11)
+	c, err := NewFromRNG(k, 1, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,31 +144,42 @@ func TestMeanZWithinChain(t *testing.T) {
 	}
 }
 
-// TestMeasureReturnTimes: null-recurrent excursions from a large state are
-// long — a significant share hits the cap.
+// TestMeasureReturnTimes: the walk does not mean-revert. Null-recurrent
+// excursions of the top layer from a large state are long, so most fail to
+// halve the population within a step cap.
 func TestMeasureReturnTimes(t *testing.T) {
-	sum, err := MeasureReturnTimes(3, 1, 1000, 50, 2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Excursions != 50 {
-		t.Errorf("excursions = %d", sum.Excursions)
-	}
 	// Halving a 1000-peer zero-drift walk needs ≈ (n/2)² ≈ 250k steps of
 	// unit variance; with batch departures variance is larger but most of
 	// 2000-step excursions must still time out.
-	if sum.Capped < 35 {
-		t.Errorf("only %d/50 excursions capped; walk looks mean-reverting", sum.Capped)
+	const k, excursions, excStart, maxSteps = 3, 50, 1000, 2000
+	capped := 0
+	for e := 0; e < excursions; e++ {
+		c, err := NewFromRNG(k, 1, rng.New(3+uint64(e)*7919))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetState(excStart, k-1); err != nil {
+			t.Fatal(err)
+		}
+		returned := false
+		for step := 0; step < maxSteps && !returned; step++ {
+			c.Step()
+			n, _ := c.State()
+			returned = n <= excStart/2
+		}
+		if !returned {
+			capped++
+		}
 	}
-	if _, err := MeasureReturnTimes(3, 1, 1, 10, 10, 1); !errors.Is(err, ErrBadParams) {
-		t.Error("startN < 2 accepted")
+	if capped < 35 {
+		t.Errorf("only %d/%d excursions capped; walk looks mean-reverting", capped, excursions)
 	}
 }
 
 // BenchmarkBorderlineTopLayer measures raw transition throughput of the
 // µ=∞ embedded chain on its top layer (Figure 3).
 func BenchmarkBorderlineTopLayer(b *testing.B) {
-	c, err := New(3, 1, 1)
+	c, err := NewFromRNG(3, 1, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

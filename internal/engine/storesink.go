@@ -237,7 +237,6 @@ type storeRecord struct {
 	series             map[string][]obs.Point
 	marks              map[string]float64
 	aggs               map[string]MetricAggregate
-	aggKeys            []string
 	started            bool
 }
 

@@ -19,9 +19,9 @@ import (
 // the two dynamic laws it was built to measure:
 //
 // (a) Stable regime — Little's law. For several λ0 strictly inside the
-// Example 1 stability region, the peer-granular simulator's tag-based
-// sojourn tracker reports L (time-averaged occupancy), λ̂, and W (mean
-// sojourn) from one arrival→departure stream per replica; L must equal
+// Example 1 stability region, the peer-granular simulator's sojourn tracker
+// reports L (time-averaged occupancy), λ̂, and W (mean sojourn) from one
+// arrival→departure stream per replica; L must equal
 // λ·W within the replicas' 95% confidence intervals. This is the paper's
 // practical payoff of Theorem 1: positive recurrence is what makes E[T]
 // finite and measurable.

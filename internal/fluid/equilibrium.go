@@ -51,16 +51,3 @@ func (s *System) Equilibrium(x0 []float64, dt, tol, maxTime float64) ([]float64,
 	}
 	return x, ErrNoEquilibrium
 }
-
-// EquilibriumN returns the total fluid population at the settled point.
-func (s *System) EquilibriumN(x0 []float64, dt, tol, maxTime float64) (float64, error) {
-	x, err := s.Equilibrium(x0, dt, tol, maxTime)
-	if err != nil {
-		return 0, err
-	}
-	var n float64
-	for _, v := range x {
-		n += v
-	}
-	return n, nil
-}

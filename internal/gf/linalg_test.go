@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -157,14 +156,6 @@ func TestSubsetSumIntersection(t *testing.T) {
 	if sum.Key() != xy.Key() {
 		t.Error("Sum disagrees with SpanOf")
 	}
-	d, err := x.IntersectionDim(y)
-	if err != nil || d != 0 {
-		t.Errorf("dim(x∩y) = %d, want 0", d)
-	}
-	d, err = xy.IntersectionDim(x)
-	if err != nil || d != 1 {
-		t.Errorf("dim(xy∩x) = %d, want 1", d)
-	}
 }
 
 func TestRandomVectorStaysInSubspace(t *testing.T) {
@@ -205,58 +196,6 @@ func TestRandomVectorUniform(t *testing.T) {
 	}
 	if frac := float64(zero) / draws; math.Abs(frac-0.5) > 0.03 {
 		t.Errorf("zero fraction = %v, want 0.5", frac)
-	}
-}
-
-func TestUsefulProbability(t *testing.T) {
-	f := MustNew(2)
-	x, _ := SpanOf(f, 2, Vec{1, 0})
-	y, _ := SpanOf(f, 2, Vec{0, 1})
-	full := FullSubspace(f, 2)
-
-	// Upload from y to x: dim(x∩y)=0, dim(y)=1 → 1 − 1/2.
-	p, err := UsefulProbability(x, y)
-	if err != nil || math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("p = %v, want 0.5", p)
-	}
-	// Upload from full space to x: 1 − q^{1−2} = 1/2... dim(x∩full)=1, dim(full)=2.
-	p, err = UsefulProbability(x, full)
-	if err != nil || math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("p = %v, want 0.5", p)
-	}
-	// Upload from x to x: never useful.
-	p, err = UsefulProbability(x, x)
-	if err != nil || p != 0 {
-		t.Errorf("p = %v, want 0", p)
-	}
-	// Upload from zero subspace: never useful.
-	p, err = UsefulProbability(x, ZeroSubspace(f, 2))
-	if err != nil || p != 0 {
-		t.Errorf("p from zero = %v", p)
-	}
-}
-
-func TestUsefulProbabilityAtLeastHalfWhenHelpful(t *testing.T) {
-	// Paper: if V_B ⊄ V_A, the useful probability is ≥ 1 − 1/q.
-	f := MustNew(4)
-	r := rng.New(9)
-	for trial := 0; trial < 50; trial++ {
-		a := randomSubspace(t, f, 4, r)
-		b := randomSubspace(t, f, 4, r)
-		sub, err := b.SubsetOf(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := UsefulProbability(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub && p != 0 {
-			t.Errorf("b ⊆ a but p = %v", p)
-		}
-		if !sub && p < 1-1.0/4-1e-12 {
-			t.Errorf("b ⊄ a but p = %v < 1-1/q", p)
-		}
 	}
 }
 
@@ -314,119 +253,6 @@ func TestHyperplanesCount(t *testing.T) {
 func TestHyperplanesInvalidK(t *testing.T) {
 	if _, err := Hyperplanes(MustNew(2), 0); err == nil {
 		t.Error("k=0 must error")
-	}
-}
-
-// Property: dim(s∩t) + dim(s+t) = dim s + dim t for random subspaces.
-func TestQuickModularLaw(t *testing.T) {
-	f := MustNew(3)
-	r := rng.New(7)
-	fn := func(seed uint16) bool {
-		r.Reseed(uint64(seed) + 1)
-		s := quickSubspace(f, 4, r)
-		u := quickSubspace(f, 4, r)
-		interDim, err := s.IntersectionDim(u)
-		if err != nil {
-			return false
-		}
-		sum, err := s.Sum(u)
-		if err != nil {
-			return false
-		}
-		return interDim+sum.Dim() == s.Dim()+u.Dim()
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func quickSubspace(f *Field, k int, r *rng.RNG) *Subspace {
-	s := ZeroSubspace(f, k)
-	for i := 0; i < r.Intn(k+1); i++ {
-		v := make(Vec, k)
-		for j := range v {
-			v[j] = r.Intn(f.Order())
-		}
-		s, _ = s.Add(v)
-	}
-	return s
-}
-
-func TestGaussianBinomial(t *testing.T) {
-	tests := []struct {
-		q, k, d, want int
-	}{
-		{2, 2, 1, 3},
-		{2, 3, 1, 7},
-		{2, 3, 2, 7},
-		{3, 2, 1, 4},
-		{2, 4, 2, 35},
-		{2, 3, 0, 1},
-		{2, 3, 3, 1},
-		{2, 3, 4, 0},  // d > k
-		{2, 3, -1, 0}, // d < 0
-	}
-	for _, tt := range tests {
-		if got := GaussianBinomial(tt.q, tt.k, tt.d); got != tt.want {
-			t.Errorf("[%d choose %d]_%d = %d, want %d", tt.k, tt.d, tt.q, got, tt.want)
-		}
-	}
-	if GaussianBinomial(64, 200, 100) != -1 {
-		t.Error("overflow not reported")
-	}
-}
-
-func TestSubspaceCount(t *testing.T) {
-	// F_2^2: {0}, three lines, the plane = 5.
-	if got := SubspaceCount(2, 2); got != 5 {
-		t.Errorf("SubspaceCount(2,2) = %d, want 5", got)
-	}
-	// F_2^3: 1 + 7 + 7 + 1 = 16.
-	if got := SubspaceCount(2, 3); got != 16 {
-		t.Errorf("SubspaceCount(2,3) = %d, want 16", got)
-	}
-	if SubspaceCount(64, 100) != -1 {
-		t.Error("overflow not reported")
-	}
-}
-
-// TestAllSubspacesMatchesGaussianBinomials: enumeration counts per
-// dimension must equal the q-binomials — a strong structural property test
-// of RREF canonicalization.
-func TestAllSubspacesMatchesGaussianBinomials(t *testing.T) {
-	for _, tc := range []struct{ q, k int }{{2, 2}, {2, 3}, {2, 4}, {3, 2}, {3, 3}, {4, 2}} {
-		f := MustNew(tc.q)
-		subs, err := AllSubspaces(f, tc.k)
-		if err != nil {
-			t.Fatalf("q=%d k=%d: %v", tc.q, tc.k, err)
-		}
-		byDim := make(map[int]int)
-		seen := make(map[string]bool)
-		for _, s := range subs {
-			if seen[s.Key()] {
-				t.Fatalf("duplicate subspace %s", s.Key())
-			}
-			seen[s.Key()] = true
-			byDim[s.Dim()]++
-		}
-		for d := 0; d <= tc.k; d++ {
-			want := GaussianBinomial(tc.q, tc.k, d)
-			if byDim[d] != want {
-				t.Errorf("q=%d k=%d dim %d: %d subspaces, want %d",
-					tc.q, tc.k, d, byDim[d], want)
-			}
-		}
-	}
-}
-
-func TestAllSubspacesGuards(t *testing.T) {
-	f := MustNew(2)
-	if _, err := AllSubspaces(f, -1); err == nil {
-		t.Error("negative k accepted")
-	}
-	big := MustNew(16)
-	if _, err := AllSubspaces(big, 8); err == nil {
-		t.Error("enumeration limit not enforced")
 	}
 }
 

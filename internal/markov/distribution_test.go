@@ -2,7 +2,6 @@ package markov
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -17,61 +16,6 @@ func solved(t *testing.T) (*Chain, *StationaryResult) {
 		t.Fatal(err)
 	}
 	return c, res
-}
-
-func TestOccupancyDistribution(t *testing.T) {
-	c, res := solved(t)
-	dist, err := c.OccupancyDistribution(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist) != c.NMax()+1 {
-		t.Fatalf("len = %d", len(dist))
-	}
-	var sum, mean float64
-	for n, p := range dist {
-		if p < -1e-15 {
-			t.Fatalf("negative mass at N=%d", n)
-		}
-		sum += p
-		mean += float64(n) * p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("masses sum to %v", sum)
-	}
-	if math.Abs(mean-res.MeanN) > 1e-9 {
-		t.Errorf("distribution mean %v vs MeanN %v", mean, res.MeanN)
-	}
-}
-
-func TestOccupancyQuantile(t *testing.T) {
-	c, res := solved(t)
-	median, err := c.OccupancyQuantile(res, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p99, err := c.OccupancyQuantile(res, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if median > p99 {
-		t.Errorf("median %d above p99 %d", median, p99)
-	}
-	q0, err := c.OccupancyQuantile(res, -1) // clamps to 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q0 != 0 && res.Pi[0] > 0 {
-		// quantile 0 returns the first n with positive cumulative mass
-		t.Logf("q0 = %d", q0)
-	}
-	qMax, err := c.OccupancyQuantile(res, 2) // clamps to 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qMax > c.NMax() {
-		t.Errorf("q1 = %d beyond NMax", qMax)
-	}
 }
 
 // TestStationarityResidual is the direct global-balance certificate: πQ ≈ 0.
@@ -105,16 +49,10 @@ func TestStationarityResidualDetectsWrongPi(t *testing.T) {
 
 func TestDistributionErrors(t *testing.T) {
 	c, _ := solved(t)
-	if _, err := c.OccupancyDistribution(nil); !errors.Is(err, ErrBadResult) {
-		t.Error("nil result accepted")
-	}
-	if _, err := c.OccupancyDistribution(&StationaryResult{Pi: []float64{1}}); !errors.Is(err, ErrBadResult) {
-		t.Error("mismatched result accepted")
-	}
 	if _, err := c.StationarityResidual(nil); !errors.Is(err, ErrBadResult) {
 		t.Error("nil result accepted by residual")
 	}
-	if _, err := c.OccupancyQuantile(&StationaryResult{Pi: []float64{1}}, 0.5); !errors.Is(err, ErrBadResult) {
-		t.Error("mismatched result accepted by quantile")
+	if _, err := c.StationarityResidual(&StationaryResult{Pi: []float64{1}}); !errors.Is(err, ErrBadResult) {
+		t.Error("mismatched result accepted by residual")
 	}
 }

@@ -234,42 +234,3 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 	}
 	return res, nil
 }
-
-// MeanHittingTimeToEmpty computes, for every state, the expected time to
-// reach the empty state, by solving the first-passage linear system with
-// Gauss–Seidel sweeps. Positive recurrence on the truncated chain makes the
-// system well-posed. It returns the vector indexed like States.
-func (c *Chain) MeanHittingTimeToEmpty(maxIter int, tol float64) ([]float64, error) {
-	if maxIter <= 0 {
-		maxIter = 200000
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	n := len(c.states)
-	h := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		var maxDiff float64
-		for i := 1; i < n; i++ { // state 0 is empty: h = 0
-			if c.outRate[i] == 0 {
-				continue
-			}
-			var sum float64
-			for k := c.start[i]; k < c.start[i+1]; k++ {
-				if to := c.to[k]; to != 0 {
-					sum += c.rate[k] * h[to]
-				}
-			}
-			nv := (1 + sum) / c.outRate[i]
-			d := math.Abs(nv - h[i])
-			if d > maxDiff*(1+math.Abs(nv)) {
-				maxDiff = d / (1 + math.Abs(nv))
-			}
-			h[i] = nv
-		}
-		if maxDiff < tol {
-			return h, nil
-		}
-	}
-	return nil, ErrNoConverge
-}

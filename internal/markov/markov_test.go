@@ -166,38 +166,6 @@ func TestStationaryMatchesSimulatorK2(t *testing.T) {
 	}
 }
 
-func TestMeanHittingTime(t *testing.T) {
-	p := k1Params(0.5, 1, 1, 2)
-	c, err := Build(p, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.MeanHittingTimeToEmpty(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h[0] != 0 {
-		t.Error("hitting time from empty must be 0")
-	}
-	// Hitting times grow with the starting population.
-	idxSmall, idxLarge := -1, -1
-	for i := 0; i < c.NumStates(); i++ {
-		st := c.State(i)
-		if st.N() == 1 && idxSmall < 0 {
-			idxSmall = i
-		}
-		if st.N() == c.NMax() {
-			idxLarge = i
-		}
-	}
-	if idxSmall < 0 || idxLarge < 0 {
-		t.Fatal("missing reference states")
-	}
-	if !(h[idxSmall] > 0) || !(h[idxLarge] > h[idxSmall]) {
-		t.Errorf("hitting times not ordered: h1=%v hmax=%v", h[idxSmall], h[idxLarge])
-	}
-}
-
 func TestGammaInfChain(t *testing.T) {
 	p := model.Params{
 		K: 2, Us: 1, Mu: 1, Gamma: math.Inf(1),

@@ -10,9 +10,9 @@
 //   - Watch — hitting-time watchers (first time a predicate over the
 //     process holds: population thresholds, one-club formation, piece
 //     starvation), optionally halting the run at the hit.
-//   - Sojourn — a tag-based arrival→departure tracker with a Welford
-//     duration summary, P² quantiles, and its own occupancy integral, so
-//     Little's law L = λW can be cross-checked from one object.
+//   - Sojourn — an arrival→departure tracker with a Welford duration
+//     summary, P² quantiles, and its own occupancy integral, so Little's
+//     law L = λW can be cross-checked from one object.
 //   - Quantiles — exact event-sampled quantiles of a probed count, kept
 //     as a histogram of the values seen.
 //
@@ -25,11 +25,7 @@
 // all observation output byte-identical across worker counts.
 package obs
 
-import (
-	"sort"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Probe reads one scalar from the observed process. Probes are read after
 // every committed event (post-event state); they must be cheap and must
@@ -98,18 +94,6 @@ func (s *Snapshot) setMark(name string, t float64) {
 		s.Marks = make(map[string]float64)
 	}
 	s.Marks[name] = t
-}
-
-// MarkKeys returns the snapshot's mark names, sorted.
-func (s *Snapshot) MarkKeys() []string { return sortedKeys(s.Marks) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Set composes observers into one pipeline. It implements kernel.Tap and

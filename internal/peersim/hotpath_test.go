@@ -26,8 +26,7 @@ func hotParams(n int) (model.Params, kernel.Scenario) {
 
 // hotSwarm builds the workload and advances it to quasi-stationarity: the
 // population has relaxed to its equilibrium near n and every internal
-// buffer (peer arrays, sojourn slab, kernel scratch) has grown to its
-// working size.
+// buffer (peer arrays, kernel scratch) has grown to its working size.
 func hotSwarm(tb testing.TB, n int, warmupEvents int) *Swarm {
 	tb.Helper()
 	p, sc := hotParams(n)
@@ -48,9 +47,10 @@ func hotSwarm(tb testing.TB, n int, warmupEvents int) *Swarm {
 
 // TestStepAllocsSteadyState is the allocation gate of the per-event path:
 // once the swarm is at steady state, Step must not touch the heap at all —
-// arrivals reuse slab sojourn slots and array capacity, transfers run on
-// the flat piece-set array, and departures swap-delete. Skipped under
-// -race, whose instrumentation inserts allocations of its own.
+// arrivals reuse array capacity and the sojourn tracker keeps no per-peer
+// state, transfers run on the flat piece-set array, and departures
+// swap-delete. Skipped under -race, whose instrumentation inserts
+// allocations of its own.
 func TestStepAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate needs a non-race build")

@@ -34,7 +34,6 @@ const notCompleted = -1
 // cache footprint: it is touched on arrival, completion, and departure only.
 // The hot state — the peer's piece set — lives in its own flat array.
 type peerMeta struct {
-	tag       uint64 // sojourn-tracker slab tag
 	arrived   float64
 	completed float64 // notCompleted until the last piece arrives
 	uploads   int32
@@ -127,12 +126,12 @@ type Swarm struct {
 	holdersFn sim.HolderCount // cached method value: no closure alloc per transfer
 
 	// Departed-peer statistics. Sojourn times (arrival → departure) route
-	// through the observation layer's tag-based tracker, which also carries
-	// streaming quantiles and the Little's-law view (L, λ, W). The tracker
-	// is always on — unlike the gated kernel tap — because per-peer pairing
-	// must start at the first arrival to be offered later. It runs in the
-	// tracker's slab mode (Admit/Release), so the always-on pairing costs
-	// no allocation past the peak population.
+	// through the observation layer's tracker, which also carries streaming
+	// quantiles and the Little's-law view (L, λ, W). The tracker is always
+	// on — unlike the gated kernel tap — because its occupancy integral must
+	// start at the first arrival to be offered later. Each peer's arrival
+	// time lives in its meta row, so removePeer hands the tracker the
+	// duration and the tracker keeps no per-peer state.
 	sojourn       *obs.Sojourn
 	downloadTimes dist.Summary // arrival → completion
 	dwellTimes    dist.Summary // completion → departure (γ < ∞ only)
@@ -240,7 +239,7 @@ func (s *Swarm) DwellTimes() *dist.Summary { return &s.dwellTimes }
 // peers, the E[T] of Little's law.
 func (s *Swarm) SojournTimes() *dist.Summary { return s.sojourn.Durations() }
 
-// Sojourn returns the swarm's tag-based sojourn tracker (internal/obs):
+// Sojourn returns the swarm's sojourn tracker (internal/obs):
 // Welford durations, streaming P² quantiles, and the Little's-law view
 // (L, λ, W) over the arrival→departure stream. Add it to the replica's
 // observer set to route its scalars into engine records.
@@ -268,10 +267,11 @@ func (s *Swarm) TypeCountsInto(dst map[pieceset.Set]int) map[pieceset.Set]int {
 }
 
 // addPeer admits a peer of the given type at the current time, registering
-// its arrival with the sojourn tracker under a slab tag.
+// its arrival with the sojourn tracker.
 func (s *Swarm) addPeer(c pieceset.Set) {
 	now := s.now()
-	m := peerMeta{tag: s.sojourn.Admit(now), arrived: now, completed: notCompleted, seedPos: -1}
+	s.sojourn.Arrive(now)
+	m := peerMeta{arrived: now, completed: notCompleted, seedPos: -1}
 	if c == s.full {
 		m.completed = now
 		m.seedPos = int32(len(s.seedIdx))
@@ -286,11 +286,12 @@ func (s *Swarm) addPeer(c pieceset.Set) {
 func (s *Swarm) removePeer(i int) {
 	m := s.meta[i]
 	s.departed++
-	s.sojourn.Release(m.tag, s.k.Now())
+	now := s.k.Now()
+	s.sojourn.Depart(now, now-m.arrived)
 	if m.completed != notCompleted {
 		s.downloadTimes.Add(m.completed - m.arrived)
 		if !s.params.GammaInf() {
-			s.dwellTimes.Add(s.k.Now() - m.completed)
+			s.dwellTimes.Add(now - m.completed)
 		}
 	}
 	s.uploadsMade.Add(float64(m.uploads))

@@ -255,44 +255,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0,1,2,...}). p is clamped into (0,1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	u := r.Float64()
-	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
-// Perm fills a permutation of [0,n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Picker is a categorical sampler over a fixed weight vector with the total
 // precomputed at construction. Pick draws exactly the index Categorical
 // would draw from the same stream — one Float64 variate mapped through the

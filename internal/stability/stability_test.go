@@ -2,6 +2,7 @@ package stability
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +367,50 @@ func BenchmarkClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Classify(p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDeltaSLambdaCoefficient pins the λ_C coefficient of ∆_S against the
+// Section VI branching argument on random K ≤ 4 parameters: a gifted peer
+// of type C ⊄ S ultimately causes (K−|C|+µ/γ)/(1−µ/γ) one-club departures,
+// so raising λ_C by h lowers ∆_S by h times that, while a type C ⊆ S only
+// adds its own arrivals (+h).
+func TestDeltaSLambdaCoefficient(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + r.Intn(4)
+		mu := 0.1 + 2*r.Float64()
+		gamma := math.Inf(1)
+		if r.Intn(4) > 0 {
+			gamma = mu * (1.05 + 3*r.Float64())
+		}
+		p := model.Params{K: k, Us: 3 * r.Float64(), Mu: mu, Gamma: gamma,
+			Lambda: map[pieceset.Set]float64{}}
+		for i := r.Intn(4); i >= 0; i-- {
+			p.Lambda[pieceset.Set(r.Intn(1<<k))] = 2 * r.Float64()
+		}
+		s := pieceset.Set(r.Intn(1<<k - 1)) // proper subset of F
+		c := pieceset.Set(r.Intn(1 << k))
+		h := 0.01 + r.Float64()
+
+		before, err := DeltaS(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Lambda[c] += h
+		after, err := DeltaS(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := h
+		if !c.SubsetOf(s) {
+			ratio := muOverGamma(p)
+			want = -h * (float64(k-c.Size()) + ratio) / (1 - ratio)
+		}
+		if got := after - before; math.Abs(got-want) > 1e-9*(1+math.Abs(before)+math.Abs(want)) {
+			t.Fatalf("trial %d (%v, S=%v, C=%v, h=%g): ∆_S moved by %v, want %v",
+				trial, p, s, c, h, got, want)
 		}
 	}
 }

@@ -28,7 +28,6 @@ type Reader struct {
 	clean    bool  // footer present and valid
 	dataEnd  int64 // end offset of the last committed block
 	cache    *blockCache
-	rowBuf   []Value
 	pagesR   *telemetry.Counter
 	bytesR   *telemetry.Counter
 	cacheHit *telemetry.Counter
